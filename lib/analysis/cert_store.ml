@@ -2,7 +2,7 @@ type entry = { verdict : Verdict.t; rho : float }
 
 type t = {
   dir : string;
-  certs : (string, entry) Hashtbl.t;  (* content address -> certificate *)
+  certs : (string, entry) Hashtbl.t;  (* [slot] of a content address -> certificate *)
   canon : (string, string) Hashtbl.t;  (* labelled adjacency key -> canonical g6 *)
   families : (string, string list) Hashtbl.t;  (* family key -> g6s in enum order *)
   journal_path : string;
@@ -11,6 +11,19 @@ type t = {
 
 let dir t = t.dir
 let cert_count t = Hashtbl.length t.certs
+
+(* The table holds a content address (32 lowercase hex digits) under
+   its 16 raw bytes, which halves the memory of the key strings: a
+   swept store holds hundreds of thousands of them, twice over while a
+   closed store's table awaits collection.  Any other key (only a
+   hand-edited journal has one) is held as itself padded past 16 bytes,
+   so the mapping stays one-to-one. *)
+let slot key =
+  if
+    String.length key = 32
+    && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) key
+  then Digest.from_hex key
+  else key ^ String.make 17 '\000'
 
 (* Telemetry only (see Obs): counting never changes what is stored,
    found, or journaled. *)
@@ -86,7 +99,7 @@ let load_line t line =
             | None -> None
           in
           match (key, verdict, rho) with
-          | Some key, Some verdict, Some rho -> Hashtbl.replace t.certs key { verdict; rho }
+          | Some key, Some verdict, Some rho -> Hashtbl.replace t.certs (slot key) { verdict; rho }
           | _ -> ())
       | Some "canon" -> (
           let akey = Option.bind (Json.member "graph" j) Json.as_string in
@@ -180,12 +193,12 @@ let append t j =
 (* ------------------------------------------------------------------ *)
 
 let find t ~key =
-  let e = Hashtbl.find_opt t.certs key in
+  let e = Hashtbl.find_opt t.certs (slot key) in
   Obs.incr (if e = None then c_misses else c_hits);
   e
 
 let record ?(game = bilateral) t ~key ~canon_g6 ~concept ~alpha ~budget e =
-  Hashtbl.replace t.certs key e;
+  Hashtbl.replace t.certs (slot key) e;
   append t (cert_line ~game ~key ~canon_g6 ~concept ~alpha ~budget e)
 
 (* ------------------------------------------------------------------ *)

@@ -70,21 +70,24 @@ let merge a b =
 (* Canonical graph6 per candidate, through the store's memo table; the
    canonical-form searches for graphs the store has never seen fan out
    across domains, and the results are journaled so the next run pays
-   table lookups only. *)
+   table lookups only.  Also returns the number of memo misses. *)
 let canon_keys ?domains store graphs =
   let keys = Array.of_list (List.map (Cert_store.find_canon store) graphs) in
   let missing_graphs = List.filteri (fun i _ -> keys.(i) = None) graphs in
   let computed = Parallel.map ?domains Encode.canonical_graph6 missing_graphs in
   List.iter2 (fun g g6 -> Cert_store.record_canon store g g6) missing_graphs computed;
   let rem = ref computed in
-  Array.map
-    (function
-      | Some g6 -> g6
-      | None ->
-          let g6 = List.hd !rem in
-          rem := List.tl !rem;
-          g6)
-    keys
+  let g6s =
+    Array.map
+      (function
+        | Some g6 -> g6
+        | None ->
+            let g6 = List.hd !rem in
+            rem := List.tl !rem;
+            g6)
+      keys
+  in
+  (g6s, List.length missing_graphs)
 
 (* The game-generic cell primitive.  The fold prices states with
    [G.check] / [G.rho] and reports witnesses as created graphs
@@ -93,10 +96,12 @@ let canon_keys ?domains store graphs =
    complete address for [G.of_graph]-canonical states (the bilateral
    game, and the unilateral game under canonical ownership).  Applied
    to {!Bilateral} this is bit-identical to the historical
-   monomorphic fold. *)
-let run_cell_game (type s c)
+   monomorphic fold.  [keyed] pairs the store with the canonical graph6
+   of every state, in order, so a caller running several cells over
+   one candidate list canonicalises it once. *)
+let fold_cell (type s c)
     (module G : Game_sig.GAME with type state = s and type concept = c) ?budget ?domains
-    ?store ~concept ~alpha (states : s list) =
+    ~keyed ~concept ~alpha (states : s list) =
   let step acc x =
     let acc = { acc with checked = acc.checked + 1 } in
     Obs.incr c_checked;
@@ -130,11 +135,10 @@ let run_cell_game (type s c)
         Obs.incr c_exhausted;
         { acc with exhausted = acc.exhausted + 1 }
   in
-  match store with
+  match keyed with
   | None -> (Parallel.fold ?domains ~f:step ~merge ~init:empty states, 0)
-  | Some s ->
+  | Some (s, g6s) ->
       let garr = Array.of_list states in
-      let g6s = canon_keys ?domains s (List.map G.graph states) in
       let cname = G.concept_name concept in
       let keys =
         Array.map
@@ -168,6 +172,14 @@ let run_cell_game (type s c)
       let acc = ref empty in
       Array.iteri (fun i entry -> acc := tally !acc garr.(i) (Option.get entry)) found;
       (!acc, hits)
+
+let run_cell_game (type s c)
+    (module G : Game_sig.GAME with type state = s and type concept = c) ?budget ?domains
+    ?store ~concept ~alpha (states : s list) =
+  let keyed =
+    Option.map (fun s -> (s, fst (canon_keys ?domains s (List.map G.graph states)))) store
+  in
+  fold_cell (module G) ?budget ?domains ~keyed ~concept ~alpha states
 
 let run_cell ?budget ?domains ?store ~concept ~alpha graphs =
   run_cell_game (module Bilateral) ?budget ?domains ?store ~concept ~alpha graphs
@@ -334,6 +346,23 @@ let run ?store spec =
     @@ fun () ->
     List.concat_map
       (fun (size, graphs) ->
+        (* Canonicalised once per group and shared by every cell: the
+           keys depend on the candidate alone.  So the store's
+           [cert_store.canon_hits]/[canon_misses] count each candidate
+           once per group, not once per cell.  An empty grid journals
+           nothing, as before. *)
+        let keyed =
+          match store with
+          | Some s when spec.concepts <> [] && spec.alphas <> [] ->
+              let g6s, _ =
+                Obs.span "sweep.canon"
+                  ~args:[ ("n", Json.Int size); ("candidates", Json.Int (List.length graphs)) ]
+                  ~result_args:(fun (_, misses) -> [ ("misses", Json.Int misses) ])
+                  (fun () -> canon_keys ?domains:spec.domains s graphs)
+              in
+              Some (s, g6s)
+          | Some _ | None -> None
+        in
         List.concat_map
           (fun concept ->
             List.map
@@ -349,8 +378,8 @@ let run ?store spec =
                         ("candidates", Json.Int (List.length graphs));
                       ]
                     (fun () ->
-                      run_cell ?budget:spec.budget ?domains:spec.domains ?store ~concept
-                        ~alpha graphs)
+                      fold_cell (module Bilateral) ?budget:spec.budget
+                        ?domains:spec.domains ~keyed ~concept ~alpha graphs)
                 in
                 Obs.incr c_cells;
                 Obs.tick ();

@@ -200,54 +200,125 @@ let canonical_tree g =
   assign None root;
   Graph.of_edges size !edges
 
+(* The key is the lexicographically least row-major upper-triangle
+   adjacency string over the permutations that list degrees descending.
+   It is found by an ordered-partition search that places one vertex
+   per position.  The unplaced positions are covered by contiguous
+   cells (initially the runs of equal degree); the vertex at position
+   [i] comes from the cell covering [i], and with it fixed, row [i] is
+   least exactly when every later cell lists its non-neighbours before
+   its neighbours.  So a step tries each vertex of that cell, splits
+   every later cell into [non-neighbours][neighbours], keeps only the
+   siblings whose row [i] is least, and drops a branch whose prefix
+   already exceeds the best key.  Twins (N(u)\{v} = N(v)\{u}) in one
+   cell are swapped by an automorphism that fixes every placed vertex,
+   so their branches yield the same keys and only one is tried.  The
+   result is byte-identical to trying every degree-descending
+   permutation. *)
 let canonical_key g =
   let size = Graph.n g in
-  let deg = Array.init size (Graph.degree g) in
-  (* Lexicographically smallest upper-triangular adjacency bitstring over
-     permutations that sort degrees descending (a canonical-form-compatible
-     restriction: any minimising permutation must list degrees in a fixed
-     order once we make degree the primary key of the encoding). *)
-  let buf = Bytes.create (size * (size - 1) / 2) in
-  let encode perm =
-    let k = ref 0 in
-    for i = 0 to size - 1 do
-      for j = i + 1 to size - 1 do
-        Bytes.set buf !k (if Graph.has_edge g perm.(i) perm.(j) then '1' else '0');
-        incr k
-      done
-    done;
-    Bytes.to_string buf
+  let adj = Bytes.make (size * size) '0' in
+  for u = 0 to size - 1 do
+    Graph.iter_neighbors (fun v -> Bytes.set adj ((u * size) + v) '1') g u
+  done;
+  let bit u v = Bytes.unsafe_get adj ((u * size) + v) in
+  let twins u v =
+    let rec go w = w = size || ((w = u || w = v || bit u w = bit v w) && go (w + 1)) in
+    go 0
   in
-  let best = ref None in
-  let perm = Array.make size (-1) in
-  let used = Array.make size false in
-  (* Degree-descending target sequence: position i must receive a vertex of
-     degree target.(i). *)
-  let target = Array.copy deg in
-  Array.sort (fun a b -> Int.compare b a) target;
-  let rec go i =
-    if i = size then begin
-      let key = Printf.sprintf "%d/%s" size (encode perm) in
-      match !best with
-      | Some b when String.compare b key <= 0 -> ()
-      | _ -> best := Some key
-    end
+  let len = size * (size - 1) / 2 in
+  let key = Bytes.make len '0' in
+  (* All ones is at least every key, and is the key of a clique. *)
+  let best = Bytes.make len '1' in
+  (* [key] against [best] on [0, stop). *)
+  let rec compare_prefix k stop =
+    if k = stop then 0
     else
-      for v = 0 to size - 1 do
-        if (not used.(v)) && deg.(v) = target.(i) then begin
-          perm.(i) <- v;
-          used.(v) <- true;
-          go (i + 1);
-          used.(v) <- false;
-          perm.(i) <- -1
-        end
-      done
+      let c = Char.compare (Bytes.unsafe_get key k) (Bytes.unsafe_get best k) in
+      if c <> 0 then c else compare_prefix (k + 1) stop
   in
-  if size = 0 then "0/"
-  else begin
-    go 0;
-    Option.get !best
-  end
+  (* [order.(p)] is the vertex at position [p]; [cells] lists the
+     [(start, stop)] cells covering [i, size) in position order. *)
+  let rec place i order cells =
+    if i >= size - 1 then begin
+      if compare_prefix 0 len < 0 then Bytes.blit key 0 best 0 len
+    end
+    else begin
+      let stop0 = match cells with (_, stop) :: _ -> stop | [] -> assert false in
+      let row_len = size - 1 - i in
+      (* Place [v] at [i]: the refined order, row [i] and the new cells. *)
+      let refine v =
+        let o = Array.copy order and row = Bytes.create row_len in
+        o.(i) <- v;
+        let split s members acc =
+          let e = s + Array.length members in
+          let mid = ref s in
+          Array.iter
+            (fun w ->
+              if bit v w = '0' then begin
+                o.(!mid) <- w;
+                incr mid
+              end)
+            members;
+          let p = ref !mid in
+          Array.iter
+            (fun w ->
+              if bit v w = '1' then begin
+                o.(!p) <- w;
+                incr p
+              end)
+            members;
+          Bytes.fill row (s - i - 1) (!mid - s) '0';
+          Bytes.fill row (!mid - i - 1) (e - !mid) '1';
+          let acc = if !mid > s then (s, !mid) :: acc else acc in
+          if e > !mid then (!mid, e) :: acc else acc
+        in
+        let rest_of_cell =
+          Array.of_list (List.filter (( <> ) v) (Array.to_list (Array.sub order i (stop0 - i))))
+        in
+        let acc = split (i + 1) rest_of_cell [] in
+        let acc =
+          List.fold_left
+            (fun acc (s, e) -> split s (Array.sub order s (e - s)) acc)
+            acc (List.tl cells)
+        in
+        (Bytes.unsafe_to_string row, o, List.rev acc)
+      in
+      let tried = ref [] and children = ref [] in
+      for p = stop0 - 1 downto i do
+        let v = order.(p) in
+        if not (List.exists (twins v) !tried) then begin
+          tried := v :: !tried;
+          children := refine v :: !children
+        end
+      done;
+      let least =
+        List.fold_left
+          (fun m (row, _, _) -> if String.compare row m < 0 then row else m)
+          (let row, _, _ = List.hd !children in row)
+          !children
+      in
+      let off = i * ((2 * size) - i - 1) / 2 in
+      Bytes.blit_string least 0 key off row_len;
+      List.iter
+        (fun (row, o, cells') ->
+          if String.equal row least && compare_prefix 0 (off + row_len) <= 0 then
+            place (i + 1) o cells')
+        !children
+    end
+  in
+  let order = Array.init size (fun u -> u) in
+  let deg = Array.init size (Graph.degree g) in
+  Array.stable_sort (fun a b -> Int.compare deg.(b) deg.(a)) order;
+  let cells = ref [] and s = ref 0 in
+  for p = 1 to size do
+    if p = size || deg.(order.(p)) <> deg.(order.(!s)) then begin
+      cells := (!s, p) :: !cells;
+      s := p
+    end
+  done;
+  place 0 order (List.rev !cells);
+  Printf.sprintf "%d/%s" size (Bytes.to_string best)
 
 (* Rebuild the graph a canonical key denotes: the key is
    "n/upper-triangular bitstring" in row-major (i, j), i < j, order. *)

@@ -142,12 +142,13 @@ let stop () =
            ]);
       Option.iter close_out_noerr s.oc
 
-let span ?(args = []) name f =
+let span ?(args = []) ?result_args name f =
   match !active with
   | None -> f ()
   | Some s when s.oc = None -> f ()
   | Some s ->
       let t_start = now_ns () in
+      let args = ref args in
       Fun.protect
         ~finally:(fun () ->
           let dur = Int64.to_int (Int64.div (Int64.sub (now_ns ()) t_start) 1000L) in
@@ -158,8 +159,11 @@ let span ?(args = []) name f =
                   ("ts_us", Json.Int (us_since s t_start)); ("dur_us", Json.Int dur);
                   ("tid", Json.Int (Domain.self () :> int));
                 ]
-               @ match args with [] -> [] | _ -> [ ("args", Json.Obj args) ])))
-        f
+               @ match !args with [] -> [] | a -> [ ("args", Json.Obj a) ])))
+        (fun () ->
+          let x = f () in
+          Option.iter (fun r -> args := !args @ r x) result_args;
+          x)
 
 (* Heartbeat emission re-checks the interval under the sink mutex so
    concurrent tickers collapse to one event. *)

@@ -73,12 +73,19 @@ val stop : unit -> unit
 (** Emits a final counter snapshot, flushes and closes the trace, and
     deactivates the sink.  Idempotent. *)
 
-val span : ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
+val span :
+  ?args:(string * Json.t) list ->
+  ?result_args:('a -> (string * Json.t) list) ->
+  string ->
+  (unit -> 'a) ->
+  'a
 (** [span name f] runs [f ()], emitting one complete-span event
     (begin timestamp + duration, in microseconds since [start], tagged
     with the executing domain id) when a trace file is active.  The
-    event is emitted even if [f] raises.  Without a sink this is
-    exactly [f ()]. *)
+    event is emitted even if [f] raises.  [result_args] appends args
+    computed from [f]'s result, for figures only known at the end (it
+    is not called if [f] raises).  Without a sink this is exactly
+    [f ()]. *)
 
 val tick : unit -> unit
 (** Heartbeat opportunity: if a sink with a heartbeat interval is

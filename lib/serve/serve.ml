@@ -490,14 +490,22 @@ let run ?(on_ready = fun () -> ()) config =
   let drain_started = ref None in
   Fun.protect
     ~finally:(fun () ->
+      (* Once a drain has started the process is on its way out, and a
+         stop signal during the teardown that follows (here, and the
+         caller's exit with the domain pool's [at_exit]) must not kill
+         it: after a drain the stop signals stay ignored instead of
+         falling back to their (fatal) previous handlers. *)
+      let term, int =
+        if st.draining then (Sys.Signal_ignore, Sys.Signal_ignore) else (old_term, old_int)
+      in
+      Sys.set_signal Sys.sigterm term;
+      Sys.set_signal Sys.sigint int;
       Option.iter close_noerr !lfd;
       (match config.listen with
       | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
       | Tcp _ -> ());
       List.iter (fun c -> close_noerr c.fd) st.clients;
-      Option.iter Cert_store.close st.cert_store;
-      Sys.set_signal Sys.sigterm old_term;
-      Sys.set_signal Sys.sigint old_int)
+      Option.iter Cert_store.close st.cert_store)
   @@ fun () ->
   Printf.eprintf "bncg: serve listening on %s\n%!" (listen_name config.listen);
   on_ready ();

@@ -43,7 +43,11 @@
 
     {b Shutdown.}  SIGTERM/SIGINT (or a [shutdown] request) stops
     accepting, drains queued requests, flushes replies and the
-    certificate-store journal, and exits 0. *)
+    certificate-store journal, and exits 0.  Once a drain has started,
+    a further SIGTERM/SIGINT cannot kill the process: {!run} leaves
+    both ignored when it returns, so a signal during the teardown that
+    follows (the store close, the domain pool's [at_exit]) is
+    harmless. *)
 
 type listen =
   | Unix_socket of string  (** path; any stale socket file is replaced *)
@@ -67,6 +71,8 @@ val default_max_queue : int
 val run : ?on_ready:(unit -> unit) -> config -> unit
 (** Binds, announces readiness (one [bncg: serve listening on ...]
     stderr line, then [on_ready ()]), and blocks in the event loop
-    until shutdown.  Returns normally after a graceful drain — the
-    caller decides the exit code.
+    until shutdown.  Returns normally after a graceful drain, with
+    SIGTERM and SIGINT left ignored — the caller decides the exit
+    code.  If it raises before any drain started, the previous
+    handlers are restored.
     @raise Unix.Unix_error if the socket cannot be bound. *)

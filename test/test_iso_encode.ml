@@ -10,6 +10,93 @@ let random_permutation r n =
   done;
   perm
 
+(* The definition [Iso.canonical_key] must reproduce byte for byte: the
+   lexicographically least row-major upper-triangle string over every
+   permutation that lists degrees descending, found by trying them all.
+   Kept here as the reference the refinement search is checked
+   against. *)
+let brute_canonical_key g =
+  let size = Graph.n g in
+  let deg = Array.init size (Graph.degree g) in
+  let buf = Bytes.create (size * (size - 1) / 2) in
+  let encode perm =
+    let k = ref 0 in
+    for i = 0 to size - 1 do
+      for j = i + 1 to size - 1 do
+        Bytes.set buf !k (if Graph.has_edge g perm.(i) perm.(j) then '1' else '0');
+        incr k
+      done
+    done;
+    Bytes.to_string buf
+  in
+  let best = ref None in
+  let perm = Array.make size (-1) in
+  let used = Array.make size false in
+  let target = Array.copy deg in
+  Array.sort (fun a b -> Int.compare b a) target;
+  let rec go i =
+    if i = size then begin
+      let key = Printf.sprintf "%d/%s" size (encode perm) in
+      match !best with
+      | Some b when String.compare b key <= 0 -> ()
+      | _ -> best := Some key
+    end
+    else
+      for v = 0 to size - 1 do
+        if (not used.(v)) && deg.(v) = target.(i) then begin
+          perm.(i) <- v;
+          used.(v) <- true;
+          go (i + 1);
+          used.(v) <- false
+        end
+      done
+  in
+  if size = 0 then "0/"
+  else begin
+    go 0;
+    Option.get !best
+  end
+
+let check_against_reference name g =
+  Alcotest.(check string) name (brute_canonical_key g) (Iso.canonical_key g)
+
+(* G(n, p) with no connectivity repair, so isolated vertices and
+   several components occur. *)
+let gnp r n p =
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Random.State.float r 1. < p then edges := (u, v) :: !edges
+    done
+  done;
+  Graph.of_edges n !edges
+
+let symmetric_graphs () =
+  let k44 =
+    Graph.of_edges 8 (List.concat_map (fun u -> List.init 4 (fun j -> (u, 4 + j))) [ 0; 1; 2; 3 ])
+  in
+  (* Q3: u ~ v iff their labels differ in exactly one bit. *)
+  let cube =
+    Graph.of_edges 8
+      (List.concat_map
+         (fun u -> List.map (fun b -> (u, u lor b)) (List.filter (fun b -> u land b = 0) [ 1; 2; 4 ]))
+         (List.init 8 Fun.id))
+  in
+  let wagner = Graph.add_edges (Gen.cycle 8) (List.init 4 (fun i -> (i, i + 4))) in
+  [
+    ("K8", Gen.clique 8); ("empty 8", Graph.create 8); ("K4,4", k44); ("C8", Gen.cycle 8);
+    ("Q3", cube); ("Wagner", wagner); ("2xC4", Graph.disjoint_union (Gen.cycle 4) (Gen.cycle 4));
+  ]
+
+(* MD5 of [Encode.canonical_graph6] over [Enumerate.connected_graphs_orderly n],
+   in enumeration order, joined by newlines.  Certificates are stored
+   under these strings, so a drift in the canonical form would orphan
+   every existing store. *)
+let canonical_digest n =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n" (List.map Encode.canonical_graph6 (Enumerate.connected_graphs_orderly n))))
+
 let suite =
   [
     tc "centers of paths" (fun () ->
@@ -84,6 +171,42 @@ let suite =
         done;
         check_false "distinct graphs, distinct keys"
           (String.equal (Iso.canonical_key (Gen.path 4)) (Iso.canonical_key (Gen.star 4))));
+    tc "canonical_key equals the reference on connected n<=7" (fun () ->
+        let r = rng 43 in
+        for n = 1 to 7 do
+          List.iter
+            (fun g ->
+              check_against_reference "as enumerated" g;
+              check_against_reference "relabelled" (Graph.relabel g (random_permutation r n)))
+            (Enumerate.connected_graphs_orderly n)
+        done);
+    tc "canonical_key equals the reference on G(n,p)" (fun () ->
+        let r = rng 47 in
+        for n = 0 to 8 do
+          List.iter
+            (fun p ->
+              for _ = 1 to 12 do
+                check_against_reference (Printf.sprintf "G(%d, %g)" n p) (gnp r n p)
+              done)
+            [ 0.15; 0.35; 0.5; 0.65; 0.85 ]
+        done);
+    tc "canonical_key equals the reference on symmetric graphs" (fun () ->
+        let r = rng 53 in
+        List.iter
+          (fun (name, g) ->
+            check_against_reference name g;
+            check_against_reference (name ^ " relabelled")
+              (Graph.relabel g (random_permutation r (Graph.n g))))
+          (symmetric_graphs ()));
+    tc "canonical graph6 of connected n=6..8 is pinned" (fun () ->
+        List.iter
+          (fun (n, digest) ->
+            Alcotest.(check string) (Printf.sprintf "n=%d" n) digest (canonical_digest n))
+          [
+            (6, "4f3fab8c9b9044fe5428121fc3d63d33");
+            (7, "7ac3035e1d083365b6157294f10ade2d");
+            (8, "10a76d4550ce73c2a60172950fe79266");
+          ]);
     tc "canonical_graph is relabelling-invariant" (fun () ->
         let r = rng 41 in
         for _ = 1 to 20 do

@@ -8,6 +8,31 @@ open Helpers
 
 let bin = "../bin/bncg_cli.exe"
 
+(* The exit status of [pid], failing if it is still running 10s on. *)
+let wait_exit pid =
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+        if Unix.gettimeofday () > deadline then begin
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid);
+          Alcotest.fail "daemon did not exit within 10s"
+        end
+        else begin
+          ignore (Unix.select [] [] [] 0.05);
+          wait ()
+        end
+    | _, status -> status
+  in
+  wait ()
+
+let expect_exit_0 ~errf = function
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED c -> Alcotest.failf "daemon exited %d (stderr: %s)" c errf
+  | Unix.WSIGNALED s -> Alcotest.failf "daemon killed by signal %d" s
+  | Unix.WSTOPPED _ -> Alcotest.fail "daemon stopped"
+
 (* Spawns [bncg serve --socket ...] with [args], runs [f socket], then
    SIGTERMs the daemon and fails unless it exits 0 within 10s — every
    test is therefore also a graceful-shutdown test. *)
@@ -28,22 +53,7 @@ let with_daemon ?(args = []) f =
   Unix.close err;
   let reap () =
     (try Unix.kill pid Sys.sigterm with Unix.Unix_error (Unix.ESRCH, _, _) -> ());
-    let deadline = Unix.gettimeofday () +. 10. in
-    let rec wait () =
-      match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ ->
-          if Unix.gettimeofday () > deadline then begin
-            Unix.kill pid Sys.sigkill;
-            ignore (Unix.waitpid [] pid);
-            Alcotest.fail "daemon did not exit within 10s of SIGTERM"
-          end
-          else begin
-            ignore (Unix.select [] [] [] 0.05);
-            wait ()
-          end
-      | _, status -> status
-    in
-    wait ()
+    wait_exit pid
   in
   let result =
     try f sock
@@ -51,11 +61,7 @@ let with_daemon ?(args = []) f =
       ignore (reap ());
       raise e
   in
-  (match reap () with
-  | Unix.WEXITED 0 -> ()
-  | Unix.WEXITED c -> Alcotest.failf "daemon exited %d (stderr: %s)" c errf
-  | Unix.WSIGNALED s -> Alcotest.failf "daemon killed by signal %d" s
-  | Unix.WSTOPPED _ -> Alcotest.fail "daemon stopped");
+  expect_exit_0 ~errf (reap ());
   result
 
 let connect sock = Serve_client.connect (Serve_client.Unix_socket sock)
@@ -242,6 +248,38 @@ let suite =
             | Ok (_, Api.Shutdown_ok) -> ()
             | _ -> Alcotest.fail "no shutdown ack");
             Serve_client.close c));
+    slow "SIGTERM during teardown after a drain exits 0" (fun () ->
+        (* serve_teardown.exe signals itself after [Serve.run] returns
+           and again at exit, so the signal lands in the teardown on
+           every run, with no timing involved. *)
+        let dir = Filename.temp_file "bncg-teardown" "" in
+        Sys.remove dir;
+        Unix.mkdir dir 0o700;
+        let sock = Filename.concat dir "d.sock" in
+        let errf = Filename.concat dir "stderr" in
+        let err = Unix.openfile errf [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
+        let helper = "./serve_teardown.exe" in
+        let pid =
+          Unix.create_process helper
+            [| helper; sock; Filename.concat dir "store" |]
+            Unix.stdin Unix.stdout err
+        in
+        Unix.close err;
+        (try
+           let c = connect sock in
+           send_batch c [ check_line 2.; "{\"op\":\"shutdown\"}" ];
+           (match Api.parse_reply_line (recv_exn c) with
+           | Ok (_, Api.Check_ok _) -> ()
+           | _ -> Alcotest.fail "queued request dropped on shutdown");
+           (match Api.parse_reply_line (recv_exn c) with
+           | Ok (_, Api.Shutdown_ok) -> ()
+           | _ -> Alcotest.fail "no shutdown ack");
+           Serve_client.close c
+         with e ->
+           (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+           ignore (Unix.waitpid [] pid);
+           raise e);
+        expect_exit_0 ~errf (wait_exit pid));
     slow "poa over the socket matches bncg poa --json" (fun () ->
         let r =
           Test_cli.run_cli

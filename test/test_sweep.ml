@@ -57,6 +57,33 @@ let journal_files dir =
 
 let suite =
   [
+    tc "cert store keeps every key string apart" (fun () ->
+        (* Digest keys are held as raw bytes; any other string must
+           still address its own certificate, across a reopen too. *)
+        let dir = fresh_dir "keys" in
+        let digest = Cert_store.cert_key ~concept:"PS" ~alpha:2. ~budget:None ~canon_g6:"Dhc" () in
+        let keys =
+          [ digest; String.uppercase_ascii digest; Digest.from_hex digest; "k"; "" ]
+        in
+        let entry i = { Cert_store.verdict = Verdict.Stable; rho = float_of_int i } in
+        let record s =
+          List.iteri
+            (fun i key ->
+              Cert_store.record s ~key ~canon_g6:"Dhc" ~concept:"PS" ~alpha:2. ~budget:None
+                (entry i))
+            keys
+        in
+        let check s =
+          check_int "one cert per key" (List.length keys) (Cert_store.cert_count s);
+          List.iteri
+            (fun i key ->
+              check_true (Printf.sprintf "key %d" i) (Cert_store.find s ~key = Some (entry i)))
+            keys
+        in
+        with_store dir (fun s ->
+            record s;
+            check s);
+        with_store dir check);
     tc "cert store round-trips through reopen" (fun () ->
         let dir = fresh_dir "roundtrip" in
         let canon_g6 = "Dhc" in
