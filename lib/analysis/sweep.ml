@@ -349,8 +349,8 @@ let run ?store spec =
         (* Canonicalised once per group and shared by every cell: the
            keys depend on the candidate alone.  So the store's
            [cert_store.canon_hits]/[canon_misses] count each candidate
-           once per group, not once per cell.  An empty grid journals
-           nothing, as before. *)
+           once per group, not once per cell.  An empty grid
+           canonicalises (and journals) nothing. *)
         let keyed =
           match store with
           | Some s when spec.concepts <> [] && spec.alphas <> [] ->
