@@ -3,67 +3,130 @@
    [0; 1; 1; ...; 1].  The successor of L is found by taking p = the last
    position with L.(p) >= 2 and q = the last position before p with
    L.(q) = L.(p) - 1 (the parent of p), then repeating the block
-   L.(q .. p-1) to fill positions p .. n-1. *)
+   L.(q .. p-1) to fill positions p .. n-1.  [f] sees the one mutable
+   level array and must not keep it. *)
+let iter_level_sequences n f =
+  let levels = Array.init n (fun i -> i) in
+  let continue = ref true in
+  while !continue do
+    f levels;
+    let p = ref (n - 1) in
+    while !p >= 0 && levels.(!p) < 2 do
+      decr p
+    done;
+    if !p < 0 then continue := false
+    else begin
+      let q = ref (!p - 1) in
+      while levels.(!q) <> levels.(!p) - 1 do
+        decr q
+      done;
+      let block = !p - !q in
+      for i = !p to n - 1 do
+        levels.(i) <- levels.(i - block)
+      done
+    end
+  done
 
-let level_sequence_to_tree levels =
+(* The parent of position i is the nearest j < i one level up; [last.(l)]
+   tracks the latest position seen at level l, so one pass finds them all
+   and the edges go to [Graph.of_edges] in one build. *)
+let tree_of_levels levels =
   let n = Array.length levels in
-  let g = ref (Graph.create n) in
-  (* parent of i: nearest j < i with levels.(j) = levels.(i) - 1 *)
+  let last = Array.make n 0 in
+  let edges = ref [] in
   for i = 1 to n - 1 do
-    let rec find j = if levels.(j) = levels.(i) - 1 then j else find (j - 1) in
-    g := Graph.add_edge !g i (find (i - 1))
+    let l = levels.(i) in
+    edges := (i, last.(l - 1)) :: !edges;
+    last.(l) <- i
   done;
-  !g
+  Graph.of_edges n !edges
 
 let iter_rooted_trees n f =
   if n < 0 then invalid_arg "Enumerate.iter_rooted_trees: negative size";
-  if n = 0 then ()
-  else begin
-    let levels = Array.init n (fun i -> i) in
-    let continue = ref true in
-    while !continue do
-      f (level_sequence_to_tree levels, 0);
-      (* successor *)
-      let p = ref (n - 1) in
-      while !p >= 0 && levels.(!p) < 2 do
-        decr p
-      done;
-      if !p < 0 then continue := false
-      else begin
-        let q = ref (!p - 1) in
-        while levels.(!q) <> levels.(!p) - 1 do
-          decr q
-        done;
-        let block = !p - !q in
-        for i = !p to n - 1 do
-          levels.(i) <- levels.(i - block)
-        done
-      end
-    done
-  end
+  if n > 0 then iter_level_sequences n (fun levels -> f (tree_of_levels levels, 0))
 
 let rooted_tree_count n =
   let count = ref 0 in
   iter_rooted_trees n (fun _ -> incr count);
   !count
 
+let wrap_code codes = "(" ^ String.concat "" (List.sort String.compare codes) ^ ")"
+
+(* The AHU codes of the children of position [i] of a level sequence —
+   [Iso.rooted_code] of [i]'s subtree is their [wrap_code] — paired with
+   the position just past [i]'s subtree.  The child at position [skip] is
+   stepped over without being coded. *)
+let rec child_codes ?(skip = -1) levels i =
+  let n = Array.length levels and li = levels.(i) in
+  let rec kids j acc =
+    if j < n && levels.(j) > li then
+      if j = skip then begin
+        let next = ref (j + 1) in
+        while !next < n && levels.(!next) > levels.(j) do
+          incr next
+        done;
+        kids !next acc
+      end
+      else
+        let codes, next = child_codes levels j in
+        kids next (wrap_code codes :: acc)
+    else (acc, j)
+  in
+  kids (i + 1) []
+
 (* A rooted tree from the Beyer–Hedetniemi stream is kept iff it is the
-   canonical rooting of its free tree: the root (vertex 0) must be a
-   centre, and for a bicentral tree whose two centre rootings differ the
-   smaller AHU code wins.  Every free tree has exactly one such rooting
-   in the stream (a bicentral tree with isomorphic halves occurs only
-   once, with equal codes), so the filter needs no seen-set at all —
-   which is what makes the stream shardable and O(1) in memory where the
-   old implementation kept a hashtable of every canonical code. *)
-let free_tree_canonical_rooting g =
-  match Iso.centers g with
-  | [ c ] -> c = 0
-  | [ c1; c2 ] ->
-      (c1 = 0 || c2 = 0)
-      &&
-      let other = if c1 = 0 then c2 else c1 in
-      String.compare (Iso.rooted_code g 0) (Iso.rooted_code g other) <= 0
-  | _ -> false
+   canonical rooting of its free tree: the root (position 0) must be a
+   centre, and for a bicentral tree the rooting with the smaller AHU code
+   wins (a bicentral tree with isomorphic halves occurs once, with equal
+   codes).  Every free tree therefore has exactly one kept rooting and the
+   filter needs no seen-set, which makes the stream shardable and O(1) in
+   memory.
+
+   The decision reads the level array alone.  With h the maximum level,
+   the root's child blocks (a block runs from one level-1 position to the
+   next) are the root's subtrees: if two reach depth h the diameter 2h
+   passes through the root and the root is the unique centre; if one
+   block, at child c, reaches h and the next deepest reaches h - 1 (the
+   root alone counts as depth 0) the centres are {0, c}; otherwise c is
+   strictly more central than the root. *)
+let canonical_rooting levels =
+  let n = Array.length levels in
+  n = 1
+  ||
+  let h = ref 0 in
+  for i = 1 to n - 1 do
+    if levels.(i) > !h then h := levels.(i)
+  done;
+  let h = !h in
+  (* [deep]: blocks reaching h; [c]: the last such block's child; [second]:
+     the deepest block below h *)
+  let deep = ref 0 and c = ref 0 and second = ref 0 in
+  let i = ref 1 in
+  while !i < n do
+    let start = !i and depth = ref levels.(!i) in
+    incr i;
+    while !i < n && levels.(!i) > 1 do
+      if levels.(!i) > !depth then depth := levels.(!i);
+      incr i
+    done;
+    if !depth = h then begin
+      incr deep;
+      c := start
+    end
+    else if !depth > !second then second := !depth
+  done;
+  !deep >= 2
+  || !second = h - 1
+     &&
+     (* code(0) wraps c's subtree with the root's other children; code(c)
+        wraps the root half (the root and those other children) with c's
+        own children *)
+     let c_kids, _ = child_codes levels !c in
+     let others, _ = child_codes ~skip:!c levels 0 in
+     String.compare
+       (wrap_code (wrap_code c_kids :: others))
+       (wrap_code (wrap_code others :: c_kids))
+     <= 0
 
 let check_shard name = function
   | None -> (0, 1)
@@ -81,21 +144,20 @@ let iter_free_trees ?shard n f =
   else begin
     let emit_range lo hi =
       let idx = ref 0 in
-      iter_rooted_trees n (fun (g, _root) ->
-          if free_tree_canonical_rooting g then begin
-            if !idx >= lo && !idx < hi then f g;
+      iter_level_sequences n (fun levels ->
+          if canonical_rooting levels then begin
+            if !idx >= lo && !idx < hi then f (tree_of_levels levels);
             incr idx
           end)
     in
     if m = 1 then emit_range 0 max_int
     else begin
       (* Contiguous index slices need the total count first; the counting
-         pass is the same stream with the emit suppressed.  Concatenating
-         the [m] slices in shard order reproduces the unsharded stream
+         pass is the same filter with nothing built.  Concatenating the
+         [m] slices in shard order reproduces the unsharded stream
          exactly, which is what the sweep merge's bit-identity rests on. *)
       let total = ref 0 in
-      iter_rooted_trees n (fun (g, _root) ->
-          if free_tree_canonical_rooting g then incr total);
+      iter_level_sequences n (fun levels -> if canonical_rooting levels then incr total);
       emit_range (k * !total / m) ((k + 1) * !total / m)
     end
   end

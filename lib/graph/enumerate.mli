@@ -3,8 +3,10 @@
     The PoA experiments certify worst cases by searching over {e all} trees
     (or all connected graphs) of a given size, so enumeration has to be
     exact.  Rooted trees come from the Beyer–Hedetniemi successor algorithm
-    on canonical level sequences; free trees are deduplicated with the AHU
-    canonical code; connected graphs come from edge-subset enumeration. *)
+    on canonical level sequences; free trees are the rooted trees a centre
+    filter keeps, decided on the level sequence itself; connected graphs
+    come from canonical-augmentation (orderly) generation, with the
+    edge-subset walk kept for [n <= 7] as its differential baseline. *)
 
 val iter_rooted_trees : int -> (Graph.t * int -> unit) -> unit
 (** [iter_rooted_trees n f] calls [f (g, root)] once per isomorphism class
@@ -17,15 +19,22 @@ val rooted_tree_count : int -> int
 
 val iter_free_trees : ?shard:int * int -> int -> (Graph.t -> unit) -> unit
 (** [iter_free_trees n f] streams one representative per isomorphism
-    class of free trees on [n] vertices, in O(1) memory: a rooted tree
-    from the Beyer–Hedetniemi stream is kept iff it is rooted at its
-    centre (bicentral ties broken by the AHU code), so no seen-set is
-    ever materialised.  The order — the {e canonical free-tree order} —
-    is the subsequence of the rooted stream the filter keeps.
+    class of free trees on [n] vertices, in O(1) memory.  A canonical
+    level sequence from the Beyer–Hedetniemi stream is kept iff its root
+    is a centre of the tree: two of the root's subtrees reach the maximum
+    level h, or one (at child [c]) reaches h and the next deepest h - 1,
+    in which case the tree is bicentral with centres [{0, c}] and is kept
+    iff the AHU code ({!Iso.rooted_code}) of the rooting at [0] is at most
+    that of the rooting at [c].  The decision reads only the level array;
+    a {!Graph.t} is built only for kept trees, and no seen-set is ever
+    materialised.  The order — the {e canonical free-tree order} — is the
+    subsequence of {!iter_rooted_trees}'s stream the filter keeps, with
+    the same vertex labelling.
 
     [?shard:(k, m)] restricts the stream to the [k]-th of [m] contiguous
-    index slices (two passes: count, then emit); concatenating the [m]
-    slices in shard order is exactly the unsharded stream.
+    index slices (two passes: count, which builds no graph, then emit);
+    concatenating the [m] slices in shard order is exactly the unsharded
+    stream.
     @raise Invalid_argument if [n < 0] or the shard is not
     [0 <= k < m]. *)
 

@@ -170,12 +170,10 @@ let compute st (request : Api.request) =
       in
       (Api.Poa_ok { game; concept; n; family; alpha; worst }, worst.Sweep.checked)
   | Api.Poa { game; concept; alpha; n; family; budget } ->
-      let target =
-        match family with Api.Trees -> Poa.Trees n | Api.Connected -> Poa.Connected n
-      in
+      let graphs = candidates st (Api.to_sweep_family family) n in
       let worst =
         Poa.run ~budget ?domains:st.config.domains ?store:st.cert_store
-          ~concept:(bilateral_concept_exn concept) ~alpha target
+          ~concept:(bilateral_concept_exn concept) ~alpha (Poa.Graphs graphs)
       in
       (Api.Poa_ok { game; concept; n; family; alpha; worst }, worst.Sweep.checked)
   | Api.Sweep_cell { game = "generalized" as game; family; n; concept; alpha; budget }

@@ -7,6 +7,24 @@ let connected_iso_counts = [ (1, 1); (2, 1); (3, 2); (4, 6); (5, 21); (6, 112); 
 
 let sorted_canon gs = List.sort String.compare (List.map Encode.canonical_graph6 gs)
 
+(* Reference for the free-tree filter, on the built graph: keep a rooted
+   tree iff vertex 0 is a centre and, for a bicentral tree, the rooting at
+   0 has the smaller (or equal) AHU code. *)
+let free_tree_canonical_rooting g =
+  match Iso.centers g with
+  | [ c ] -> c = 0
+  | [ c1; c2 ] ->
+      (c1 = 0 || c2 = 0)
+      &&
+      let other = if c1 = 0 then c2 else c1 in
+      String.compare (Iso.rooted_code g 0) (Iso.rooted_code g other) <= 0
+  | _ -> false
+
+let free_tree_stream ?shard n =
+  let out = ref [] in
+  Enumerate.iter_free_trees ?shard n (fun g -> out := g :: !out);
+  List.rev !out
+
 let suite =
   [
     tc "rooted tree counts match A000081" (fun () ->
@@ -34,27 +52,47 @@ let suite =
         check_raises_invalid "negative" (fun () -> ignore (Enumerate.free_trees (-1)));
         check_raises_invalid "too large" (fun () -> ignore (Enumerate.free_trees 21)));
     tc "iter_free_trees streams exactly the free_trees list" (fun () ->
-        let streamed = ref [] in
-        Enumerate.iter_free_trees 10 (fun g -> streamed := g :: !streamed);
-        let streamed = List.rev !streamed in
+        let streamed = free_tree_stream 10 in
         let listed = Enumerate.free_trees 10 in
         check_int "same count" (List.length listed) (List.length streamed);
         List.iter2 (check_graph "same graph, same order") listed streamed);
+    tc "free-tree filter matches the graph reference (n <= 15)" (fun () ->
+        for n = 1 to 15 do
+          let kept = ref [] in
+          Enumerate.iter_rooted_trees n (fun (g, _root) ->
+              if free_tree_canonical_rooting g then kept := g :: !kept);
+          let kept = List.rev !kept and fast = Enumerate.free_trees n in
+          check_int (Printf.sprintf "n=%d count" n) (List.length kept) (List.length fast);
+          List.iter2 (check_graph (Printf.sprintf "n=%d graph" n)) kept fast
+        done);
+    tc "labelled free-tree stream is pinned" (fun () ->
+        List.iter
+          (fun (n, expected) ->
+            let g6 = List.map Encode.to_graph6 (free_tree_stream n) in
+            Alcotest.(check string)
+              (Printf.sprintf "n=%d md5" n)
+              expected
+              (Digest.to_hex (Digest.string (String.concat "\n" g6))))
+          [
+            (10, "46cb56d4c9d105fd778ed278d865ee34");
+            (14, "434c19a5d2100228540606c18c0d0d52");
+            (16, "ad62787ebee7b689527a1b82308a0b84");
+          ]);
     tc "sharded free-tree stream concatenates to the unsharded one" (fun () ->
         List.iter
-          (fun m ->
-            let whole = Enumerate.free_trees 9 in
-            let parts =
-              List.concat_map
-                (fun k ->
-                  let out = ref [] in
-                  Enumerate.iter_free_trees ~shard:(k, m) 9 (fun g -> out := g :: !out);
-                  List.rev !out)
-                (List.init m Fun.id)
-            in
-            check_int "same count" (List.length whole) (List.length parts);
-            List.iter2 (check_graph "same graph, same order") whole parts)
-          [ 1; 2; 3; 7; 64 ]);
+          (fun (n, ms) ->
+            let whole = Enumerate.free_trees n in
+            List.iter
+              (fun m ->
+                let parts =
+                  List.concat_map
+                    (fun k -> free_tree_stream ~shard:(k, m) n)
+                    (List.init m Fun.id)
+                in
+                check_int "same count" (List.length whole) (List.length parts);
+                List.iter2 (check_graph "same graph, same order") whole parts)
+              ms)
+          [ (9, [ 1; 2; 3; 7; 64 ]); (14, [ 2; 3; 7 ]) ]);
     tc "shard guards" (fun () ->
         check_raises_invalid "k = m" (fun () ->
             Enumerate.iter_free_trees ~shard:(2, 2) 5 (fun _ -> ()));
@@ -148,11 +186,11 @@ let suite =
         let count = ref 0 in
         Enumerate.iter_orderly_connected 8 (fun _ -> incr count);
         check_int "n=8" 11117 !count);
-    slow "free tree counts match A000055 through n=16" (fun () ->
+    slow "free tree counts match A000055 through n=18" (fun () ->
         List.iter
           (fun (n, expected) ->
             let count = ref 0 in
             Enumerate.iter_free_trees n (fun _ -> incr count);
             check_int (Printf.sprintf "n=%d" n) expected !count)
-          [ (14, 3159); (15, 7741); (16, 19320) ]);
+          [ (14, 3159); (15, 7741); (16, 19320); (17, 48629); (18, 123867) ]);
   ]

@@ -296,6 +296,34 @@ let suite =
             | Some reply -> Alcotest.(check string) "poa socket == CLI bytes" cli reply
             | None -> Alcotest.fail "no reply");
             Serve_client.close c));
+    slow "bilateral poa requests share the daemon's family cache" (fun () ->
+        Test_cli.with_tmp ".jsonl" @@ fun trace ->
+        with_daemon ~args:[ "--trace"; trace ] (fun sock ->
+            let c = connect sock in
+            (* two alphas, so the answer cache cannot serve the second *)
+            List.iter
+              (fun alpha ->
+                match
+                  Serve_client.request_raw c
+                    (Printf.sprintf
+                       "{\"op\":\"poa\",\"concept\":\"PS\",\"alpha\":%d,\"family\":\"trees\",\"n\":10}"
+                       alpha)
+                with
+                | Some _ -> ()
+                | None -> Alcotest.fail "no reply")
+              [ 2; 3 ];
+            Serve_client.close c);
+        let enumerations =
+          In_channel.with_open_text trace In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.filter (fun l ->
+                 match Json.of_string l with
+                 | Ok j ->
+                     Option.bind (Json.member "name" j) Json.as_string
+                     = Some "sweep.enumerate"
+                 | Error _ -> false)
+        in
+        check_int "one sweep.enumerate span" 1 (List.length enumerations));
     slow "generalized answers match the CLI; caches never cross games" (fun () ->
         let cli =
           let r =
