@@ -1,12 +1,18 @@
 (* The generalized BNCG of arXiv 2510.00239 as a GAME instance: the
    bilateral deviation vocabulary, priced through a {!Dist_cost}
-   distance-cost function.  The linear prunes of the bilateral stack
-   (gain thresholds, net-edge caps, the Corbo-Parkes single-removal
-   shortcut) are tied to the classic cost's arithmetic and are not
-   known to be sound for arbitrary [f], so the checkers here use only
-   two accelerations that hold for every cost function: incremental
-   distance maintenance ({!Dist_oracle} flip / read / unflip) and the
-   [G_all] consent lower bound for BNE partners. *)
+   distance-cost function.  RE, BAE, PS, BSwE, BGE and BNE run on the
+   bilateral checkers, instantiated with [Cost_gen.Metric].  That metric
+   answers the linear prune hooks (gain thresholds, net-edge caps)
+   permissively, so what carries over is what holds for every
+   non-decreasing f: the bitgraph and {!Dist_oracle} flip / read /
+   unflip pricing, the cross-component BAE shortcut, and BNE's
+   single-removal shortcut and tree-branch prune (argued in
+   {!Neighborhood_eq}).
+
+   k-BSE and BSE keep their own coalition-first search here.
+   [Strong_eq.Make] over this metric agrees with it on every verdict
+   kind, but it is 5-55x slower: its prunes are tied to the linear cost
+   and, answered permissively, leave it a larger search than this one. *)
 
 let name = "generalized"
 
@@ -58,202 +64,6 @@ let concept_of_string s =
            s Concept.valid_names Dist_cost.valid_names)
 
 (* ------------------------------------------------------------------ *)
-(* Checker infrastructure                                              *)
-(* ------------------------------------------------------------------ *)
-
-exception Found of Move.t
-exception Out_of_budget
-
-(* Size-ordered subset enumeration, as in {!Neighborhood_eq} (not
-   exported there): improving moves are usually small, so under a
-   budget the size-ordered sweep finds witnesses far earlier than
-   binary-counting order.  One budget unit per emitted subset. *)
-let iter_subsets ?max_size items ~budget f =
-  let arr = Array.of_list items in
-  let k = Array.length arr in
-  let cap = match max_size with None -> k | Some m -> min m k in
-  let emit acc =
-    decr budget;
-    if !budget < 0 then raise Out_of_budget;
-    f (List.rev acc)
-  in
-  let rec choose size start acc =
-    if size = 0 then emit acc
-    else
-      for i = start to k - size do
-        choose (size - 1) (i + 1) (arr.(i) :: acc)
-      done
-  in
-  for size = 0 to cap do
-    choose size 0 []
-  done
-
-(* One oracle and one baseline memo per check: moves are always undone,
-   so the oracle is pristine between evaluations and the memoised
-   baseline costs stay valid across agents (the memo is only read
-   while the oracle is pristine — [flip]-style evaluators force their
-   baselines before flipping). *)
-let make_ctx ~f ~alpha g =
-  let oracle = Dist_oracle.create g in
-  let before = Array.make (max (Graph.n g) 1) None in
-  let before_cost u =
-    match before.(u) with
-    | Some c -> c
-    | None ->
-        let c = Cost_gen.agent_cost_oracle ~f ~alpha oracle u in
-        before.(u) <- Some c;
-        c
-  in
-  (oracle, before_cost)
-
-(* ------------------------------------------------------------------ *)
-(* Single-edge concepts                                                *)
-(* ------------------------------------------------------------------ *)
-
-let check_re ~f ~alpha g =
-  let oracle, before = make_ctx ~f ~alpha g in
-  let cost = Cost_gen.agent_cost_oracle ~f ~alpha oracle in
-  try
-    List.iter
-      (fun (u, v) ->
-        let bu = before u and bv = before v in
-        Dist_oracle.remove_edge oracle u v;
-        let cu = cost u and cv = cost v in
-        Dist_oracle.add_edge oracle u v;
-        if Cost_gen.strictly_less cu bu then
-          raise (Found (Move.Remove { agent = u; target = v }));
-        if Cost_gen.strictly_less cv bv then
-          raise (Found (Move.Remove { agent = v; target = u })))
-      (Graph.edges g);
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-let check_bae ~f ~alpha g =
-  let oracle, before = make_ctx ~f ~alpha g in
-  let cost = Cost_gen.agent_cost_oracle ~f ~alpha oracle in
-  try
-    List.iter
-      (fun (u, v) ->
-        let bu = before u and bv = before v in
-        Dist_oracle.add_edge oracle u v;
-        let ok =
-          Cost_gen.strictly_less (cost u) bu && Cost_gen.strictly_less (cost v) bv
-        in
-        Dist_oracle.remove_edge oracle u v;
-        if ok then raise (Found (Move.Bilateral_add { u; v })))
-      (Graph.non_edges g);
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-let check_bswe ~f ~alpha g =
-  let size = Graph.n g in
-  let oracle, before = make_ctx ~f ~alpha g in
-  let cost = Cost_gen.agent_cost_oracle ~f ~alpha oracle in
-  try
-    for u = 0 to size - 1 do
-      Array.iter
-        (fun v ->
-          for w = 0 to size - 1 do
-            if w <> u && w <> v && not (Graph.has_edge g u w) then begin
-              (* The swap leaves u's degree unchanged; w pays for one
-                 extra edge (tracked by the oracle's degree). *)
-              let bu = before u and bw = before w in
-              Dist_oracle.remove_edge oracle u v;
-              Dist_oracle.add_edge oracle u w;
-              let ok =
-                Cost_gen.strictly_less (cost u) bu
-                && Cost_gen.strictly_less (cost w) bw
-              in
-              Dist_oracle.remove_edge oracle u w;
-              Dist_oracle.add_edge oracle u v;
-              if ok then raise (Found (Move.Bilateral_swap { u; drop = v; add = w }))
-            end
-          done)
-        (Graph.neighbors g u)
-    done;
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-let compose a b ~alpha g =
-  match a ~alpha g with Verdict.Stable -> b ~alpha g | v -> v
-
-let check_ps ~f ~alpha g = compose (check_re ~f) (check_bae ~f) ~alpha g
-let check_bge ~f ~alpha g = compose (check_ps ~f) (check_bswe ~f) ~alpha g
-
-(* ------------------------------------------------------------------ *)
-(* BNE: budgeted neighborhood enumeration with the G_all consent bound *)
-(* ------------------------------------------------------------------ *)
-
-let check_bne_agent ~f ~alpha ~oracle ~before ~budget g u =
-  let size = Graph.n g in
-  let cost = Cost_gen.agent_cost_oracle ~f ~alpha oracle in
-  let neighbors = Array.to_list (Graph.neighbors g u) in
-  let strangers = ref [] in
-  for v = size - 1 downto 0 do
-    if v <> u && not (Graph.has_edge g u v) then strangers := v :: !strangers
-  done;
-  let strangers = !strangers in
-  (* Consent bound, sound for every f: price each stranger [a] in
-     [G_all = G + {u-s : every stranger s}].  Any post-move graph H
-     with [a] among the added partners satisfies H ⊆ G ∪ A ⊆ G_all, so
-     d_H ≥ d_{G_all} pointwise, while [a]'s degree in H is exactly
-     deg_G(a) + 1 = deg_{G_all}(a).  Hence [a]'s G_all cost lower-bounds
-     her cost after any move of [u] that includes her; a stranger whose
-     bound does not beat her current cost can never consent.  (The
-     single-added-edge bound G + ua is NOT sound for |A| > 1: other
-     added edges can shorten [a]'s distances through [u].) *)
-  let g_all = List.fold_left (fun acc s -> Graph.add_edge acc u s) g strangers in
-  let candidates =
-    List.filter
-      (fun a ->
-        Cost_gen.strictly_less (Cost_gen.agent_cost ~f ~alpha g_all a) (before a))
-      strangers
-  in
-  let evaluate drop add =
-    if drop = [] && add = [] then ()
-    else begin
-      let bu = before u in
-      let badds = List.map (fun a -> (a, before a)) add in
-      List.iter (fun v -> Dist_oracle.remove_edge oracle u v) drop;
-      List.iter (fun a -> Dist_oracle.add_edge oracle u a) add;
-      let ok =
-        Cost_gen.strictly_less (cost u) bu
-        && List.for_all (fun (a, ba) -> Cost_gen.strictly_less (cost a) ba) badds
-      in
-      List.iter (fun a -> Dist_oracle.remove_edge oracle u a) add;
-      List.iter (fun v -> Dist_oracle.add_edge oracle u v) drop;
-      if ok then raise (Found (Move.Neighborhood { agent = u; drop; add }))
-    end
-  in
-  (* No net-edge cap and no single-removal shortcut: both rest on the
-     linear cost's arithmetic (see {!Neighborhood_eq}) and are unproven
-     for general f, so the enumeration is full within the budget. *)
-  iter_subsets candidates ~budget (fun add ->
-      iter_subsets neighbors ~budget (fun drop -> evaluate drop add))
-
-let check_bne ?(budget = Neighborhood_eq.default_budget) ~f ~alpha g =
-  let size = Graph.n g in
-  let per_agent = if size = 0 then budget else max 2_000 (budget / size) in
-  let oracle, before = make_ctx ~f ~alpha g in
-  let exhausted = ref None in
-  let rec go u =
-    if u >= size then
-      match !exhausted with None -> Verdict.Stable | Some why -> Verdict.Exhausted why
-    else
-      match
-        check_bne_agent ~f ~alpha ~oracle ~before ~budget:(ref per_agent) g u
-      with
-      | () -> go (u + 1)
-      | exception Found m -> Verdict.Unstable m
-      | exception Out_of_budget ->
-          if !exhausted = None then
-            exhausted :=
-              Some (Printf.sprintf "BNE move space around agent %d exceeds budget" u);
-          go (u + 1)
-  in
-  go 0
-
-(* ------------------------------------------------------------------ *)
 (* k-BSE / BSE: budgeted coalition-first enumeration                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -264,21 +74,28 @@ let check_bne ?(budget = Neighborhood_eq.default_budget) ~f ~alpha g =
    sides require every member of S to strictly improve. *)
 let check_kbse ?(budget = Neighborhood_eq.default_budget) ~f ~k ~alpha g =
   if k < 1 then invalid_arg "Generalized.check: need k >= 1";
+  let exception Found of Move.t in
   let size = Graph.n g in
-  let oracle, before = make_ctx ~f ~alpha g in
+  let oracle = Dist_oracle.create g in
   let cost = Cost_gen.agent_cost_oracle ~f ~alpha oracle in
+  (* Baselines are read only while the oracle is pristine: every
+     evaluation forces its members' baselines before it flips. *)
+  let before = Array.init size (fun u -> lazy (cost u)) in
   let vertices = List.init size Fun.id in
   let budget = ref budget in
+  let iter_subsets items =
+    Neighborhood_eq.iter_subsets items ~max_size:(List.length items) ~budget
+  in
   try
-    iter_subsets vertices ~max_size:(min k size) ~budget (fun members ->
+    Neighborhood_eq.iter_subsets vertices ~max_size:(min k size) ~budget (fun members ->
         if members <> [] then begin
           let mem x = List.exists (Int.equal x) members in
           let removable = List.filter (fun (u, v) -> mem u || mem v) (Graph.edges g) in
           let addable = List.filter (fun (u, v) -> mem u && mem v) (Graph.non_edges g) in
-          iter_subsets addable ~budget (fun add ->
-              iter_subsets removable ~budget (fun remove ->
+          iter_subsets addable (fun add ->
+              iter_subsets removable (fun remove ->
                   if add <> [] || remove <> [] then begin
-                    let bms = List.map (fun m -> (m, before m)) members in
+                    let bms = List.map (fun m -> (m, Lazy.force before.(m))) members in
                     List.iter (fun (u, v) -> Dist_oracle.remove_edge oracle u v) remove;
                     List.iter (fun (u, v) -> Dist_oracle.add_edge oracle u v) add;
                     let ok =
@@ -294,7 +111,7 @@ let check_kbse ?(budget = Neighborhood_eq.default_budget) ~f ~k ~alpha g =
     Verdict.Stable
   with
   | Found m -> Verdict.Unstable m
-  | Out_of_budget ->
+  | Neighborhood_eq.Out_of_budget ->
       Verdict.Exhausted "generalized k-BSE coalition space exceeds budget"
 
 (* ------------------------------------------------------------------ *)
@@ -302,13 +119,28 @@ let check_kbse ?(budget = Neighborhood_eq.default_budget) ~f ~k ~alpha g =
 (* ------------------------------------------------------------------ *)
 
 let check ?budget ~alpha { f; base } g =
+  let module M = Cost_gen.Metric (struct
+    let f = f
+  end) in
   match base with
-  | Concept.RE -> check_re ~f ~alpha g
-  | Concept.BAE -> check_bae ~f ~alpha g
-  | Concept.PS -> check_ps ~f ~alpha g
-  | Concept.BSwE -> check_bswe ~f ~alpha g
-  | Concept.BGE -> check_bge ~f ~alpha g
-  | Concept.BNE -> check_bne ?budget ~f ~alpha g
+  | Concept.RE ->
+      let module C = Remove_eq.Make (M) in
+      C.check ~alpha g
+  | Concept.BAE ->
+      let module C = Add_eq.Make (M) in
+      C.check ~alpha g
+  | Concept.PS ->
+      let module C = Pairwise.Make (M) in
+      C.check ~alpha g
+  | Concept.BSwE ->
+      let module C = Swap_eq.Make (M) in
+      C.check ~alpha g
+  | Concept.BGE ->
+      let module C = Greedy_eq.Make (M) in
+      C.check ~alpha g
+  | Concept.BNE ->
+      let module C = Neighborhood_eq.Make (M) in
+      C.check ?budget ~alpha g
   | Concept.KBSE k -> check_kbse ?budget ~f ~k ~alpha g
   | Concept.BSE -> check_kbse ?budget ~f ~k:(max 1 (Graph.n g)) ~alpha g
 

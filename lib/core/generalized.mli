@@ -8,12 +8,16 @@
     name parses with the linear function, recovering the classic
     game's improvement order.
 
-    The optimised checkers keep only the game-agnostic accelerations
-    (incremental {!Dist_oracle} pricing, a sound consent lower bound
-    for BNE partners); the linear pruning theory of the bilateral
-    stack does not transfer to arbitrary cost functions.  [BNE],
-    [k-BSE] and [BSE] are budgeted and may answer [Exhausted]; the
-    rest are exact and polynomial. *)
+    [RE], [BAE], [PS], [BSwE], [BGE] and [BNE] run on the bilateral
+    checkers ([*.Make]) instantiated with {!Cost_gen.Metric}.  That
+    metric answers the linear prune hooks permissively, so the
+    accelerations that apply are those sound for every non-decreasing
+    distance cost: bitgraph and incremental {!Dist_oracle} pricing, the
+    cross-component BAE shortcut, and BNE's single-removal shortcut and
+    tree-branch prune.  [k-BSE] and [BSE] keep a coalition-first search
+    of their own: [Strong_eq.Make] over this metric is 5-55x slower.
+    [BNE], [k-BSE] and [BSE] are budgeted and may answer [Exhausted];
+    the rest are exact and polynomial. *)
 
 type concept = { f : Dist_cost.t; base : Concept.t }
 

@@ -30,7 +30,9 @@ let iter_subsets items ~max_size ~budget f =
    read / unflip on the oracle), the consent prune (a partner whose best
    conceivable distance gain cannot pay for one edge never consents),
    and the net-edge cap |A| − |R| (an agent's total slack bounds how
-   many priced edges she can ever profitably add). *)
+   many priced edges she can ever profitably add).  The tree-branch
+   prune and the single-removal shortcut are not metric hooks: they are
+   sound for every non-decreasing distance cost, as argued at each. *)
 module Make (M : Metric_sig.METRIC) = struct
   (* [oracle] must represent [g] and is returned pristine: every candidate
      move is priced by flipping its edges on the oracle, reading the cached
@@ -103,13 +105,25 @@ module Make (M : Metric_sig.METRIC) = struct
         let removable =
           if not is_tree then neighbors
           else
-            (* Only branches that receive a new edge can lose their edge. *)
+            (* Only branches that receive a new edge can lose their edge.
+               Dropping the edge to an un-reconnected branch c leaves c
+               unreachable, hence far under every metric; keeping it
+               prices c at distance 1 (which every metric prices) and
+               only shortens the added partners' distances.  So if
+               (R, A) improves everyone, so does (R - c, A), which the
+               size-ordered sweep meets first: no first witness is
+               lost, for any non-decreasing distance cost. *)
             List.filter (fun c -> List.exists (fun a -> branch.(a) = c) add) neighbors
         in
         (* Pure-removal moves need only single removals: Corbo and Parkes
            show that if dropping a set of incident edges improves an agent,
            dropping one of them already does (the argument behind
-           Proposition A.2), so for A = ∅ the size-1 subsets are exhaustive. *)
+           Proposition A.2), so for A = ∅ the size-1 subsets are exhaustive.
+           The argument holds for every non-decreasing distance cost: the
+           vertices whose every shortest path from u starts with edge e
+           are disjoint across u's edges, and only they move when e alone
+           is dropped, so dropping a set R costs u at least the sum of the
+           single drops, in far pairs and in money. *)
         let max_drop = if add = [] then 1 else List.length removable in
         iter_subsets removable ~max_size:max_drop ~budget (fun drop ->
             if List.length add <= List.length drop + net_cap then evaluate drop add));

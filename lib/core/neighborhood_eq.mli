@@ -19,6 +19,16 @@ val default_budget : int
 (** Default number of candidate moves the checker may evaluate
     ([500_000]). *)
 
+exception Out_of_budget
+
+val iter_subsets :
+  'a list -> max_size:int -> budget:int ref -> ('a list -> unit) -> unit
+(** [iter_subsets items ~max_size ~budget f] calls [f] on every subset of
+    [items] with at most [max_size] elements, smallest first and
+    lexicographic by position within a size, charging one unit of
+    [budget] per call.
+    @raise Out_of_budget once [budget] goes negative. *)
+
 (** Functorized over the cost kernel; the top-level entry points are the
     [Cost.Metric] specialisation (bit-identical to the pre-functor
     checker). *)

@@ -5,23 +5,29 @@
    definitions; this module is the slow, obviously correct side of that
    differential.  Rules of the house:
 
-   - persistent [Graph] operations and [Cost.agent_cost] only — no
+   - persistent [Graph] operations and [Cost_gen.agent_cost] only — no
      Bitgraph, no cached BFS rows, no memoisation across deviations;
    - deviations are enumerated exactly as the definitions quantify
      them, with no pruning and no early consent bounds;
-   - a deviation improves an agent iff [Cost.strictly_less] says her
+   - a deviation improves an agent iff [Cost_gen.strictly_less] says her
      full lexicographic cost went down — never a hand-derived gain
      formula.
+
+   Each deviation shape is enumerated once, for the generalized game of
+   arXiv 2510.00239 under a distance-cost function [f].  Its deviation
+   structure is the bilateral one; only the improvement order changes
+   with [f].  The bilateral game is [f = Dist_cost.Linear], under which
+   [Cost_gen] prices every agent exactly as [Cost] does.
 
    The coalition oracles enumerate every outcome graph and are
    therefore exponential in n(n-1)/2; they refuse n > 6 rather than
    pretend to scale.  [max_n] advertises the caps so the testkit's case
    generators can respect them. *)
 
-let cost = Cost.agent_cost
-
-let improves ~alpha ~before ~after u =
-  Cost.strictly_less (cost ~alpha after u) (cost ~alpha before u)
+let improves ~f ~alpha ~before ~after u =
+  Cost_gen.strictly_less
+    (Cost_gen.agent_cost ~f ~alpha after u)
+    (Cost_gen.agent_cost ~f ~alpha before u)
 
 (* All subsets of [xs].  Exponential on purpose; callers keep [xs]
    tiny. *)
@@ -36,15 +42,15 @@ let vertices g = List.init (Graph.n g) Fun.id
 
 (* RE: some endpoint of some edge improves by unilaterally dropping
    it (removal needs no consent). *)
-let check_re ~alpha g =
+let check_re ~f ~alpha g =
   let exception Found of Move.t in
   try
     List.iter
       (fun (u, v) ->
         let g' = Graph.remove_edge g u v in
-        if improves ~alpha ~before:g ~after:g' u then
+        if improves ~f ~alpha ~before:g ~after:g' u then
           raise (Found (Move.Remove { agent = u; target = v }));
-        if improves ~alpha ~before:g ~after:g' v then
+        if improves ~f ~alpha ~before:g ~after:g' v then
           raise (Found (Move.Remove { agent = v; target = u })))
       (Graph.edges g);
     Verdict.Stable
@@ -52,13 +58,15 @@ let check_re ~alpha g =
 
 (* BAE: some non-edge whose addition strictly improves both endpoints
    (addition needs mutual consent). *)
-let check_bae ~alpha g =
+let check_bae ~f ~alpha g =
   let exception Found of Move.t in
   try
     List.iter
       (fun (u, v) ->
         let g' = Graph.add_edge g u v in
-        if improves ~alpha ~before:g ~after:g' u && improves ~alpha ~before:g ~after:g' v
+        if
+          improves ~f ~alpha ~before:g ~after:g' u
+          && improves ~f ~alpha ~before:g ~after:g' v
         then raise (Found (Move.Bilateral_add { u; v })))
       (Graph.non_edges g);
     Verdict.Stable
@@ -67,7 +75,7 @@ let check_bae ~alpha g =
 (* BSwE: some agent u, incident edge uv and non-neighbour w such that
    the swap G - uv + uw strictly improves u and the new partner w (the
    dropped partner v is not asked). *)
-let check_bswe ~alpha g =
+let check_bswe ~f ~alpha g =
   let size = Graph.n g in
   let exception Found of Move.t in
   try
@@ -78,8 +86,8 @@ let check_bswe ~alpha g =
             if w <> u && w <> v && not (Graph.has_edge g u w) then begin
               let g' = Graph.add_edge (Graph.remove_edge g u v) u w in
               if
-                improves ~alpha ~before:g ~after:g' u
-                && improves ~alpha ~before:g ~after:g' w
+                improves ~f ~alpha ~before:g ~after:g' u
+                && improves ~f ~alpha ~before:g ~after:g' w
               then raise (Found (Move.Bilateral_swap { u; drop = v; add = w }))
             end
           done
@@ -88,11 +96,11 @@ let check_bswe ~alpha g =
     Verdict.Stable
   with Found m -> Verdict.Unstable m
 
-let compose a b ~alpha g =
-  match a ~alpha g with Verdict.Stable -> b ~alpha g | v -> v
+let compose a b ~f ~alpha g =
+  match a ~f ~alpha g with Verdict.Stable -> b ~f ~alpha g | v -> v
 
-let check_ps ~alpha g = compose check_re check_bae ~alpha g
-let check_bge ~alpha g = compose check_ps check_bswe ~alpha g
+let check_ps = compose check_re check_bae
+let check_bge = compose check_ps check_bswe
 
 (* ------------------------------------------------------------------ *)
 (* BNE: neighbourhood deviations                                       *)
@@ -101,7 +109,7 @@ let check_bge ~alpha g = compose check_ps check_bswe ~alpha g
 (* Some agent u, some set of incident edges to drop and some set of new
    partners to add (not both empty), such that u and every added
    partner strictly improve.  Dropped partners are not asked. *)
-let check_bne ~alpha g =
+let check_bne ~f ~alpha g =
   let exception Found of Move.t in
   try
     List.iter
@@ -118,8 +126,8 @@ let check_bne ~alpha g =
                   let m = Move.Neighborhood { agent = u; drop; add } in
                   let g' = Move.apply g m in
                   if
-                    improves ~alpha ~before:g ~after:g' u
-                    && List.for_all (fun w -> improves ~alpha ~before:g ~after:g' w) add
+                    improves ~f ~alpha ~before:g ~after:g' u
+                    && List.for_all (fun w -> improves ~f ~alpha ~before:g ~after:g' w) add
                   then raise (Found m)
                 end)
               (subsets strangers))
@@ -141,11 +149,11 @@ let check_bne ~alpha g =
    qualifying S must improve in g', S ranges over subsets of the
    improving vertices of g' — that restriction is the definition
    itself, not a heuristic. *)
-let check_kbse ~k ~alpha g =
+let check_kbse ~f ~k ~alpha g =
   let size = Graph.n g in
   if size > 6 then
-    invalid_arg "Oracle.check: the k-BSE oracle enumerates outcomes, n <= 6 only";
-  if k < 1 then invalid_arg "Oracle.check: need k >= 1";
+    invalid_arg "Oracle: the k-BSE oracle enumerates outcomes, n <= 6 only";
+  if k < 1 then invalid_arg "Oracle: need k >= 1";
   let slots = size * (size - 1) / 2 in
   let pairs = Array.make (max slots 1) (0, 0) in
   let idx = ref 0 in
@@ -160,7 +168,7 @@ let check_kbse ~k ~alpha g =
     let u, v = pairs.(b) in
     if Graph.has_edge g u v then base_mask := !base_mask lor (1 lsl b)
   done;
-  let before = Array.init size (fun u -> cost ~alpha g u) in
+  let before = Array.init size (fun u -> Cost_gen.agent_cost ~f ~alpha g u) in
   let mem x xs = List.exists (Int.equal x) xs in
   let exception Found of Move.t in
   try
@@ -182,7 +190,8 @@ let check_kbse ~k ~alpha g =
         done;
         let happier =
           List.filter
-            (fun w -> Cost.strictly_less (cost ~alpha g' w) before.(w))
+            (fun w ->
+              Cost_gen.strictly_less (Cost_gen.agent_cost ~f ~alpha g' w) before.(w))
             (vertices g)
         in
         List.iter
@@ -200,203 +209,32 @@ let check_kbse ~k ~alpha g =
     Verdict.Stable
   with Found m -> Verdict.Unstable m
 
-let check_bse ~alpha g = check_kbse ~k:(max 1 (Graph.n g)) ~alpha g
+let check_bse ~f ~alpha g = check_kbse ~f ~k:(max 1 (Graph.n g)) ~alpha g
 
 (* ------------------------------------------------------------------ *)
 (* The Concept.t dispatch                                              *)
 (* ------------------------------------------------------------------ *)
 
-let check ?budget ~alpha concept g =
+let check_generalized ?budget ~f ~alpha concept g =
   (* The oracle is exhaustive by construction; it never truncates. *)
   ignore budget;
   match concept with
-  | Concept.RE -> check_re ~alpha g
-  | Concept.BAE -> check_bae ~alpha g
-  | Concept.PS -> check_ps ~alpha g
-  | Concept.BSwE -> check_bswe ~alpha g
-  | Concept.BGE -> check_bge ~alpha g
-  | Concept.BNE -> check_bne ~alpha g
-  | Concept.KBSE k -> check_kbse ~k ~alpha g
-  | Concept.BSE -> check_bse ~alpha g
+  | Concept.RE -> check_re ~f ~alpha g
+  | Concept.BAE -> check_bae ~f ~alpha g
+  | Concept.PS -> check_ps ~f ~alpha g
+  | Concept.BSwE -> check_bswe ~f ~alpha g
+  | Concept.BGE -> check_bge ~f ~alpha g
+  | Concept.BNE -> check_bne ~f ~alpha g
+  | Concept.KBSE k -> check_kbse ~f ~k ~alpha g
+  | Concept.BSE -> check_bse ~f ~alpha g
+
+let check ?budget ~alpha concept g =
+  check_generalized ?budget ~f:Dist_cost.Linear ~alpha concept g
 
 let max_n = function
   | Concept.KBSE _ | Concept.BSE -> 6
   | Concept.BNE -> 9
   | Concept.RE | Concept.BAE | Concept.PS | Concept.BSwE | Concept.BGE -> max_int
-
-(* ------------------------------------------------------------------ *)
-(* Generalized BNCG oracles (arXiv 2510.00239)                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Same quantifications as the bilateral oracles above, priced through
-   [Cost_gen.agent_cost ~f] (scratch BFS per evaluation, no cached
-   rows): the deviation structure of the generalized game is the
-   bilateral one, only the improvement order changes with the
-   distance-cost function. *)
-
-let gen_cost = Cost_gen.agent_cost
-
-let gen_improves ~f ~alpha ~before ~after u =
-  Cost_gen.strictly_less (gen_cost ~f ~alpha after u) (gen_cost ~f ~alpha before u)
-
-let check_gen_re ~f ~alpha g =
-  let exception Found of Move.t in
-  try
-    List.iter
-      (fun (u, v) ->
-        let g' = Graph.remove_edge g u v in
-        if gen_improves ~f ~alpha ~before:g ~after:g' u then
-          raise (Found (Move.Remove { agent = u; target = v }));
-        if gen_improves ~f ~alpha ~before:g ~after:g' v then
-          raise (Found (Move.Remove { agent = v; target = u })))
-      (Graph.edges g);
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-let check_gen_bae ~f ~alpha g =
-  let exception Found of Move.t in
-  try
-    List.iter
-      (fun (u, v) ->
-        let g' = Graph.add_edge g u v in
-        if
-          gen_improves ~f ~alpha ~before:g ~after:g' u
-          && gen_improves ~f ~alpha ~before:g ~after:g' v
-        then raise (Found (Move.Bilateral_add { u; v })))
-      (Graph.non_edges g);
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-let check_gen_bswe ~f ~alpha g =
-  let size = Graph.n g in
-  let exception Found of Move.t in
-  try
-    for u = 0 to size - 1 do
-      for v = 0 to size - 1 do
-        if Graph.has_edge g u v then
-          for w = 0 to size - 1 do
-            if w <> u && w <> v && not (Graph.has_edge g u w) then begin
-              let g' = Graph.add_edge (Graph.remove_edge g u v) u w in
-              if
-                gen_improves ~f ~alpha ~before:g ~after:g' u
-                && gen_improves ~f ~alpha ~before:g ~after:g' w
-              then raise (Found (Move.Bilateral_swap { u; drop = v; add = w }))
-            end
-          done
-      done
-    done;
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-let check_gen_ps ~f ~alpha g = compose (check_gen_re ~f) (check_gen_bae ~f) ~alpha g
-let check_gen_bge ~f ~alpha g = compose (check_gen_ps ~f) (check_gen_bswe ~f) ~alpha g
-
-let check_gen_bne ~f ~alpha g =
-  let exception Found of Move.t in
-  try
-    List.iter
-      (fun u ->
-        let neighbors = Array.to_list (Graph.neighbors g u) in
-        let strangers =
-          List.filter (fun v -> v <> u && not (Graph.has_edge g u v)) (vertices g)
-        in
-        List.iter
-          (fun drop ->
-            List.iter
-              (fun add ->
-                if drop <> [] || add <> [] then begin
-                  let m = Move.Neighborhood { agent = u; drop; add } in
-                  let g' = Move.apply g m in
-                  if
-                    gen_improves ~f ~alpha ~before:g ~after:g' u
-                    && List.for_all
-                         (fun w -> gen_improves ~f ~alpha ~before:g ~after:g' w)
-                         add
-                  then raise (Found m)
-                end)
-              (subsets strangers))
-          (subsets neighbors))
-      (vertices g);
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-(* Outcome enumeration, exactly as [check_kbse]: for every outcome graph,
-   a coalition of improving vertices that makes the edit legal. *)
-let check_gen_kbse ~f ~k ~alpha g =
-  let size = Graph.n g in
-  if size > 6 then
-    invalid_arg "Oracle.check_generalized: the k-BSE oracle enumerates outcomes, n <= 6 only";
-  if k < 1 then invalid_arg "Oracle.check_generalized: need k >= 1";
-  let slots = size * (size - 1) / 2 in
-  let pairs = Array.make (max slots 1) (0, 0) in
-  let idx = ref 0 in
-  for u = 0 to size - 1 do
-    for v = u + 1 to size - 1 do
-      pairs.(!idx) <- (u, v);
-      incr idx
-    done
-  done;
-  let base_mask = ref 0 in
-  for b = 0 to slots - 1 do
-    let u, v = pairs.(b) in
-    if Graph.has_edge g u v then base_mask := !base_mask lor (1 lsl b)
-  done;
-  let before = Array.init size (fun u -> gen_cost ~f ~alpha g u) in
-  let mem x xs = List.exists (Int.equal x) xs in
-  let exception Found of Move.t in
-  try
-    for mask = 0 to (1 lsl slots) - 1 do
-      if mask <> !base_mask then begin
-        let g' = ref (Graph.create size) in
-        for b = 0 to slots - 1 do
-          if mask land (1 lsl b) <> 0 then begin
-            let u, v = pairs.(b) in
-            g' := Graph.add_edge !g' u v
-          end
-        done;
-        let g' = !g' in
-        let added = ref [] and removed = ref [] in
-        for b = slots - 1 downto 0 do
-          let now = mask land (1 lsl b) <> 0 and was = !base_mask land (1 lsl b) <> 0 in
-          if now && not was then added := pairs.(b) :: !added
-          else if was && not now then removed := pairs.(b) :: !removed
-        done;
-        let happier =
-          List.filter
-            (fun w -> Cost_gen.strictly_less (gen_cost ~f ~alpha g' w) before.(w))
-            (vertices g)
-        in
-        List.iter
-          (fun members ->
-            if
-              members <> []
-              && List.length members <= k
-              && List.for_all (fun (u, v) -> mem u members && mem v members) !added
-              && List.for_all (fun (u, v) -> mem u members || mem v members) !removed
-            then
-              raise (Found (Move.Coalition { members; remove = !removed; add = !added })))
-          (subsets happier)
-      end
-    done;
-    Verdict.Stable
-  with Found m -> Verdict.Unstable m
-
-let check_gen_bse ~f ~alpha g = check_gen_kbse ~f ~k:(max 1 (Graph.n g)) ~alpha g
-
-(* The generalized dispatch: a bilateral base concept read under
-   distance-cost function [f].  Like [check], the oracle never
-   truncates. *)
-let check_generalized ?budget ~f ~alpha base g =
-  ignore budget;
-  match base with
-  | Concept.RE -> check_gen_re ~f ~alpha g
-  | Concept.BAE -> check_gen_bae ~f ~alpha g
-  | Concept.PS -> check_gen_ps ~f ~alpha g
-  | Concept.BSwE -> check_gen_bswe ~f ~alpha g
-  | Concept.BGE -> check_gen_bge ~f ~alpha g
-  | Concept.BNE -> check_gen_bne ~f ~alpha g
-  | Concept.KBSE k -> check_gen_kbse ~f ~k ~alpha g
-  | Concept.BSE -> check_gen_bse ~f ~alpha g
 
 (* ------------------------------------------------------------------ *)
 (* Unilateral NCG oracles                                              *)

@@ -2,15 +2,18 @@
 
     Every checker here is a direct transcription of the deviation
     definitions from Section 1.1 of the paper — persistent {!Graph}
-    operations and {!Bncg_game.Cost.agent_cost} only, no Bitgraph, no
-    memoisation, no pruning.  They are intentionally slow and
-    intentionally boring: the fuzz harness ({!Fuzz}) compares their
+    operations and {!Bncg_game.Cost_gen.agent_cost} only, no Bitgraph,
+    no memoisation, no pruning.  Each deviation shape is enumerated
+    once, for the generalized game; the bilateral game is its linear
+    distance cost.  They are intentionally slow and intentionally
+    boring: the fuzz harness ({!Fuzz}) compares their
     verdicts against the optimised checkers behind {!Concept.check} on
     thousands of random instances, so any cleverness that sneaks in
     here would defeat the purpose. *)
 
 val check : ?budget:int -> alpha:float -> Concept.t -> Graph.t -> Verdict.t
-(** [check ~alpha concept g] is the oracle verdict for [g]: [Stable] or
+(** [check ~alpha concept g] is the bilateral oracle verdict for [g],
+    i.e. {!check_generalized} with [~f:Dist_cost.Linear]: [Stable] or
     [Unstable m] with an improving deviation [m] (valid for
     [Move.apply], and genuinely improving per [Move.is_improving]).
     The oracle enumerates exhaustively and never returns [Exhausted];
@@ -27,11 +30,10 @@ val max_n : Concept.t -> int
 
 (** {1 Generalized BNCG oracles}
 
-    Naive checkers for the generalized game (arXiv 2510.00239): the
-    bilateral deviation vocabulary priced through an arbitrary
-    distance-cost function via {!Bncg_game.Cost_gen.agent_cost}.  Same
-    discipline as {!check} — scratch BFS per evaluation, no caching,
-    no pruning. *)
+    The generalized game (arXiv 2510.00239): the bilateral deviation
+    vocabulary priced through an arbitrary distance-cost function via
+    {!Bncg_game.Cost_gen.agent_cost}.  These are the enumerations behind
+    {!check} too. *)
 
 val check_generalized :
   ?budget:int ->

@@ -25,10 +25,7 @@ module Make (M : Metric_sig.METRIC) = struct
       match before.(u) with
       | Some c -> c
       | None ->
-          let c =
-            M.of_parts ~alpha ~degree:(Bitgraph.degree bg u)
-              ~total:(Bitgraph.total_dist bg u)
-          in
+          let c = M.of_bits ~alpha bg u in
           before.(u) <- Some c;
           c
     in
@@ -38,11 +35,7 @@ module Make (M : Metric_sig.METRIC) = struct
           let bu = before_cost u and bv = before_cost v in
           Bitgraph.remove_edge bg u v;
           let try_agent agent b =
-            let after =
-              M.of_parts ~alpha ~degree:(Bitgraph.degree bg agent)
-                ~total:(Bitgraph.total_dist bg agent)
-            in
-            if M.strictly_less after b then
+            if M.strictly_less (M.of_bits ~alpha bg agent) b then
               raise (Found (Move.Remove { agent; target = (if agent = u then v else u) }))
           in
           try_agent u bu;

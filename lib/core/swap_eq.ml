@@ -52,8 +52,7 @@ module Make (M : Metric_sig.METRIC) = struct
     in
     let baseline u =
       match bg with
-      | Some b ->
-          M.of_parts ~alpha ~degree:(Bitgraph.degree b u) ~total:(Bitgraph.total_dist b u)
+      | Some b -> M.of_bits ~alpha b u
       | None -> M.of_oracle ~alpha (Option.get oracle) u
     in
     let before = Array.init size (fun u -> lazy (baseline u)) in
@@ -79,17 +78,9 @@ module Make (M : Metric_sig.METRIC) = struct
       | Some b, _ ->
           Bitgraph.remove_edge b u v;
           Bitgraph.add_edge b u w;
-          let au =
-            M.of_parts ~alpha ~degree:(Bitgraph.degree b u) ~total:(Bitgraph.total_dist b u)
-          in
           let ok =
-            M.strictly_less au bu
-            &&
-            let aw =
-              M.of_parts ~alpha ~degree:(Bitgraph.degree b w)
-                ~total:(Bitgraph.total_dist b w)
-            in
-            M.strictly_less aw bw
+            M.strictly_less (M.of_bits ~alpha b u) bu
+            && M.strictly_less (M.of_bits ~alpha b w) bw
           in
           Bitgraph.remove_edge b u w;
           Bitgraph.add_edge b u v;

@@ -68,7 +68,10 @@ let rho ~alpha g =
 module Metric = struct
   type nonrec agent = agent
 
-  let of_parts = agent_cost_of_parts
+  let of_bits ~alpha bg u =
+    agent_cost_of_parts ~alpha ~degree:(Bitgraph.degree bg u)
+      ~total:(Bitgraph.total_dist bg u)
+
   let of_oracle = agent_cost_oracle
   let of_graph = agent_cost
   let strictly_less = strictly_less

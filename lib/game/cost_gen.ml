@@ -34,6 +34,26 @@ let agent_cost ~f ~alpha g u =
 let agent_cost_oracle ~f ~alpha o u =
   agent_of_row ~f ~alpha ~degree:(Dist_oracle.degree o u) ~self:u (Dist_oracle.row o u)
 
+(* The checker kernel.  The linear-only prune hooks answer permissively,
+   which the METRIC laws allow: every candidate they would have cut is
+   priced exactly instead. *)
+module Metric (F : sig
+  val f : Dist_cost.t
+end) =
+struct
+  type nonrec agent = agent
+
+  let of_bits ~alpha bg u =
+    agent_of_row ~f:F.f ~alpha ~degree:(Bitgraph.degree bg u) ~self:u (Bitgraph.bfs bg u)
+
+  let of_oracle = agent_cost_oracle ~f:F.f
+  let of_graph = agent_cost ~f:F.f
+  let strictly_less = strictly_less
+  let gain_improves ~alpha:_ _ = true
+  let net_edge_cap ~alpha:_ ~size ~dist_sum:_ = size
+  let could_join_coalition ~alpha:_ ~size:_ _ = true
+end
+
 type social = { far_pairs : int; social_buy : float; social_fdist : int }
 
 let social_money s = s.social_buy +. float_of_int s.social_fdist

@@ -10,14 +10,10 @@
     function here agrees with its {!Cost} counterpart (same far/
     unreachable count, same money up to float summation order).
 
-    This module is the METRIC of the generalized game in the sense of
-    {!Game_sig}: cost assembly from cached distance rows, the strict
-    improvement order, and the social optimum behind [rho].  It is
-    deliberately a family of plain [~f]-parameterized functions rather
-    than a {!Metric_sig.METRIC} functor instance: that signature's
-    [of_parts] consumes only a distance {e sum}, which cannot express
-    [sum f(d)], and its [gain_improves] contract is tied to the linear
-    cost's pruning theory. *)
+    This module is the cost model of the generalized game: cost
+    assembly from distance rows, the strict improvement order, and the
+    social optimum behind [rho].  {!Metric} packages the first two as
+    the {!Metric_sig.METRIC} kernel the bilateral checkers run on. *)
 
 type agent = { far : int; buy : float; fdist : int }
 (** [far] pairs the function cannot price (lexicographically first),
@@ -44,6 +40,16 @@ val agent_cost : f:Dist_cost.t -> alpha:float -> Graph.t -> int -> agent
 val agent_cost_oracle : f:Dist_cost.t -> alpha:float -> Dist_oracle.t -> int -> agent
 (** The same cost off an incremental oracle's cached row: exact across
     edge flips, so checkers can price moves flip / read / unflip. *)
+
+(** The checker kernel for distance-cost function [F.f]: [agent] is
+    {!agent}, priced through {!agent_of_row}.  The prune hooks are tied
+    to the linear cost's arithmetic, so this instance answers them
+    permissively ([gain_improves] always [true], [net_edge_cap] = [size],
+    [could_join_coalition] always [true]) and lets exact pricing
+    decide. *)
+module Metric (F : sig
+  val f : Dist_cost.t
+end) : Metric_sig.METRIC with type agent = agent
 
 type social = { far_pairs : int; social_buy : float; social_fdist : int }
 

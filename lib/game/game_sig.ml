@@ -22,8 +22,12 @@
     - [strictly_less] is a strict partial order consistent with "this
       agent is better off": flipping a move on an oracle and comparing
       with [of_oracle] must rank exactly the states the game ranks.
-    - [of_parts], [of_oracle] and [of_graph] agree whenever they price
+    - [of_bits], [of_oracle] and [of_graph] agree whenever they price
       the same agent in the same graph.
+    - Joining two components strictly improves both endpoints of the
+      new edge (the BAE checker reports cross-component pairs without
+      pricing them); a metric that prices distance 1 and ranks fewer
+      unpriced pairs first satisfies this.
     - [gain_improves ~alpha gain] is monotone in [gain] and answers
       "does a distance-sum decrease of [gain] outweigh the price of one
       extra edge?".  The checkers use its negation to prune, so a

@@ -16,9 +16,9 @@ module type METRIC = sig
   (** The cost of one agent; ordered, never inspected structurally by
       the checkers. *)
 
-  val of_parts : alpha:float -> degree:int -> total:Paths.total -> agent
-  (** Price an agent from a degree and a distance total (the Bitgraph
-      fast path). *)
+  val of_bits : alpha:float -> Bitgraph.t -> int -> agent
+  (** Price an agent on the bitgraph's current graph (the word-parallel
+      fast path for [n <= Bitgraph.max_n]), exact across edge flips. *)
 
   val of_oracle : alpha:float -> Dist_oracle.t -> int -> agent
   (** Price an agent on the oracle's current graph — O(1) on a cached

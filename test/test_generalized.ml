@@ -209,6 +209,93 @@ let test_linear_recovers_bilateral () =
       [ Concept.PS; Concept.RE; Concept.BNE ]
   done
 
+(* ------------------------------------------------------------------ *)
+(* Pinned verdict bytes, and the METRIC pricing law                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every verdict and witness of the polynomial generalized concepts on
+   all connected graphs n = 2..6 and all free trees n = 7..9, at five
+   alphas, pinned as one digest so that a prune or a pricing change
+   that moves any verdict or witness byte shows here.  k-BSE/BSE are
+   left out: their search is budget-bound and slower. *)
+let test_verdict_bytes_pinned () =
+  let grid =
+    List.concat_map Enumerate.connected_graphs_orderly [ 2; 3; 4; 5; 6 ]
+    @ List.concat_map Enumerate.free_trees [ 7; 8; 9 ]
+  in
+  check_int "grid size" 223 (List.length grid);
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun c ->
+      match c.Generalized.base with
+      | Concept.KBSE _ | Concept.BSE -> ()
+      | _ ->
+          List.iter
+            (fun g ->
+              List.iter
+                (fun alpha ->
+                  Buffer.add_string buf
+                    (Printf.sprintf "%s %s %g %s\n" (Generalized.concept_name c)
+                       (Encode.to_graph6 g) alpha
+                       (Json.to_string (Verdict.to_json (Generalized.check ~alpha c g)))))
+                [ 0.5; 1.; 2.; 4.; 8. ])
+            grid)
+    Generalized.concepts;
+  Alcotest.(check string)
+    "md5 of the verdict stream" "79c2ef47dfe453261a53fda5dbeca7b0"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* The METRIC law "of_bits, of_oracle and of_graph agree", for the
+   bilateral cost and for every distance-cost function: on random
+   graphs n <= 16 (connected or not), and again after one edge flip
+   applied to both the bitgraph and the oracle. *)
+let check_pricing_law (type a) name
+    (module M : Metric_sig.METRIC with type agent = a) =
+  for i = 0 to 59 do
+    let rng = Splitmix.derive 204L [ i ] in
+    let n = 2 + Splitmix.int rng 15 in
+    let g =
+      if i mod 2 = 0 then Casegen.gnp rng n ~p:(Splitmix.float rng *. 0.5)
+      else Casegen.graph rng n
+    in
+    let alpha = Casegen.alpha rng in
+    let bg = Bitgraph.of_graph g and o = Dist_oracle.create g in
+    let agree h stage =
+      for u = 0 to n - 1 do
+        let want = M.of_graph ~alpha h u in
+        let label = Printf.sprintf "%s case %d %s agent %d" name i stage u in
+        check_true (label ^ ": of_bits") (M.of_bits ~alpha bg u = want);
+        check_true (label ^ ": of_oracle") (M.of_oracle ~alpha o u = want)
+      done
+    in
+    agree g "intact";
+    let u = Splitmix.int rng n in
+    let v = (u + 1 + Splitmix.int rng (n - 1)) mod n in
+    let g' =
+      if Graph.has_edge g u v then begin
+        Bitgraph.remove_edge bg u v;
+        Dist_oracle.remove_edge o u v;
+        Graph.remove_edge g u v
+      end
+      else begin
+        Bitgraph.add_edge bg u v;
+        Dist_oracle.add_edge o u v;
+        Graph.add_edge g u v
+      end
+    in
+    agree g' (Printf.sprintf "after flipping %d-%d" u v)
+  done
+
+let test_metric_pricing_law () =
+  check_pricing_law "Cost.Metric" (module Cost.Metric);
+  List.iter
+    (fun f ->
+      let module M = Cost_gen.Metric (struct
+        let f = f
+      end) in
+      check_pricing_law ("Cost_gen.Metric " ^ Dist_cost.name f) (module M))
+    Dist_cost.all
+
 let test_rho_extremes () =
   let cut1 = { Generalized.f = Dist_cost.Cutoff 1; base = Concept.PS } in
   check_float "clique is the cut1 optimum" 1.0
@@ -229,4 +316,6 @@ let suite =
     slow "checker agrees with the naive oracle" test_checker_agrees_with_oracle;
     slow "the linear function recovers the bilateral game" test_linear_recovers_bilateral;
     tc "rho: cutoff optima (clique under cut1, star under cut2)" test_rho_extremes;
+    tc "checker verdict bytes are pinned (n <= 9, 12 concepts)" test_verdict_bytes_pinned;
+    tc "metric pricing: of_bits, of_oracle and of_graph agree" test_metric_pricing_law;
   ]
