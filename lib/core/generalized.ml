@@ -2,12 +2,12 @@
    bilateral deviation vocabulary, priced through a {!Dist_cost}
    distance-cost function.  RE, BAE, PS, BSwE, BGE and BNE run on the
    bilateral checkers, instantiated with [Cost_gen.Metric].  That metric
-   answers the linear prune hooks (gain thresholds, net-edge caps)
+   answers the linear prune hooks (gain thresholds, coalition floors)
    permissively, so what carries over is what holds for every
    non-decreasing f: the bitgraph and {!Dist_oracle} flip / read /
-   unflip pricing, the cross-component BAE shortcut, and BNE's
-   single-removal shortcut and tree-branch prune (argued in
-   {!Neighborhood_eq}).
+   unflip pricing, the cross-component BAE shortcut, and BNE's exact
+   consent prune, net-edge cap ({!Cost_gen}), single-removal shortcut
+   and tree-branch prune (argued in {!Neighborhood_eq}).
 
    k-BSE and BSE keep their own coalition-first search here.
    [Strong_eq.Make] over this metric agrees with it on every verdict

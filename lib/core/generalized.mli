@@ -10,10 +10,11 @@
 
     [RE], [BAE], [PS], [BSwE], [BGE] and [BNE] run on the bilateral
     checkers ([*.Make]) instantiated with {!Cost_gen.Metric}.  That
-    metric answers the linear prune hooks permissively, so the
-    accelerations that apply are those sound for every non-decreasing
-    distance cost: bitgraph and incremental {!Dist_oracle} pricing, the
-    cross-component BAE shortcut, and BNE's single-removal shortcut and
+    metric answers the linear gain and coalition hooks permissively, so
+    the accelerations that apply are those sound for every
+    non-decreasing distance cost: bitgraph and incremental
+    {!Dist_oracle} pricing, the cross-component BAE shortcut, and BNE's
+    exact consent prune, net-edge cap, single-removal shortcut and
     tree-branch prune.  [k-BSE] and [BSE] keep a coalition-first search
     of their own: [Strong_eq.Make] over this metric is 5-55x slower.
     [BNE], [k-BSE] and [BSE] are budgeted and may answer [Exhausted];

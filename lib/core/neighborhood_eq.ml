@@ -41,22 +41,30 @@ module Make (M : Metric_sig.METRIC) = struct
      which [evaluate] guarantees by forcing baselines before it flips. *)
   let check_agent_inner ~alpha ~budget_left ~oracle ~before_cost g u =
     let size = Graph.n g in
-    let connected = Paths.is_connected g in
     let is_tree = Tree.is_tree g in
-    let dist_u = Dist_oracle.total_dist oracle u in
     (* Partners that could ever consent to one extra edge in a move centred
-       elsewhere (paper's consent bound); only valid with full
-       reachability. *)
+       elsewhere.  Any post-move graph H that adds [a] satisfies
+       H ⊆ G_all = G + {u-s : every stranger s}, so a's distances in H are
+       at least those in G_all, while her degree in H is deg_G(a) + 1, as
+       in G_all.  So a's G_all cost lower-bounds her cost after any move of
+       u that includes her, for every metric: a partner whose G_all cost
+       does not beat her current cost never consents.  Under the linear
+       cost on a connected graph, a's G_all gain is exactly the paper's
+       consent bound [Σ_w max 0 (dist(a,w) − 2) + 1]. *)
     let candidates =
-      let all = ref [] in
+      let strangers = ref [] in
       for v = size - 1 downto 0 do
-        if v <> u && not (Graph.has_edge g u v) then
-          if connected then begin
-            if M.gain_improves ~alpha (Delta.consent_upper_bound g v) then all := v :: !all
-          end
-          else all := v :: !all
+        if v <> u && not (Graph.has_edge g u v) then strangers := v :: !strangers
       done;
-      !all
+      let g_all_cost =
+        if size <= Bitgraph.max_n then begin
+          let bg = Bitgraph.of_graph g in
+          List.iter (Bitgraph.add_edge bg u) !strangers;
+          M.of_bits ~alpha bg
+        end
+        else M.of_graph ~alpha (Graph.add_edges g (List.map (fun s -> (u, s)) !strangers))
+      in
+      List.filter (fun a -> M.strictly_less (g_all_cost a) (before_cost a)) !strangers
     in
     let neighbors = Array.to_list (Graph.neighbors g u) in
     (* Branch labels for the tree connectivity prune: branch.(x) is the
@@ -74,11 +82,9 @@ module Make (M : Metric_sig.METRIC) = struct
       end
     in
     (* Cap on |A| − |R|: u pays k·α extra for k net edges but can gain at
-       most dist(u) − (n − 1). *)
-    let net_cap =
-      if not connected then size
-      else M.net_edge_cap ~alpha ~size ~dist_sum:dist_u.Paths.sum
-    in
+       most dist(u) − (n − 1) (the metric's bound; permissive while u has
+       an unpriced pair). *)
+    let net_cap = M.net_edge_cap ~alpha ~size (before_cost u) in
     let budget = ref budget_left in
     let evaluate drop add =
       if drop = [] && add = [] then ()

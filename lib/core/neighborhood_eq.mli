@@ -8,10 +8,13 @@
 
     - {b consent bound} (used in Proposition A.5): an agent [v] whose
       one-extra-edge gain bound [Σ_w max 0 (dist(v,w) − 2) + 1] is at most
-      [α] never joins [A];
+      [α] never joins [A].  The checker prices it exactly, which holds for
+      any metric: [v] never joins [A] unless her cost in
+      [G + {u-s : every stranger s}] beats her current cost;
     - {b net-edge cap}: if the move buys [k] more edges than it drops,
       agent [u] needs a distance gain above [k·α], but her gain is at most
-      [dist(u) − (n − 1)];
+      [dist(u) − (n − 1)] (under a distance cost f, her priced distances
+      above their floor [(n − 1)·f 1]);
     - {b connectivity} (trees): dropping the edge towards a branch that
       receives no new edge disconnects [u], which can never improve her. *)
 

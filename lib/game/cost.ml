@@ -77,10 +77,10 @@ module Metric = struct
   let strictly_less = strictly_less
   let gain_improves ~alpha gain = float_of_int gain > alpha
 
-  let net_edge_cap ~alpha ~size ~dist_sum =
-    if alpha <= 0. then size
+  let net_edge_cap ~alpha ~size c =
+    if c.unreachable > 0 || alpha <= 0. then size
     else
-      let slack = float_of_int (dist_sum - (size - 1)) in
+      let slack = float_of_int (c.dist - (size - 1)) in
       if slack <= 0. then 0 else max 0 (int_of_float (Float.ceil (slack /. alpha)))
 
   let min_possible_cost ~alpha n =

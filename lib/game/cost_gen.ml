@@ -34,9 +34,12 @@ let agent_cost ~f ~alpha g u =
 let agent_cost_oracle ~f ~alpha o u =
   agent_of_row ~f ~alpha ~degree:(Dist_oracle.degree o u) ~self:u (Dist_oracle.row o u)
 
-(* The checker kernel.  The linear-only prune hooks answer permissively,
-   which the METRIC laws allow: every candidate they would have cut is
-   priced exactly instead. *)
+(* The checker kernel.  The gain and coalition hooks are linear-cost
+   theory and answer permissively, which the METRIC laws allow: every
+   candidate they would have cut is priced exactly instead.  The net-edge
+   cap carries over: an agent with no far pair keeps none in an improving
+   move, and then every other agent costs her at least [f 1], so k net
+   extra edges need k·α < fdist − (n − 1)·f 1. *)
 module Metric (F : sig
   val f : Dist_cost.t
 end) =
@@ -50,7 +53,14 @@ struct
   let of_graph = agent_cost ~f:F.f
   let strictly_less = strictly_less
   let gain_improves ~alpha:_ _ = true
-  let net_edge_cap ~alpha:_ ~size ~dist_sum:_ = size
+
+  let net_edge_cap ~alpha ~size c =
+    if c.far > 0 || alpha <= 0. then size
+    else
+      let floor = (size - 1) * Option.value ~default:0 (Dist_cost.eval F.f 1) in
+      let slack = float_of_int (c.fdist - floor) in
+      if slack <= 0. then 0 else max 0 (int_of_float (Float.ceil (slack /. alpha)))
+
   let could_join_coalition ~alpha:_ ~size:_ _ = true
 end
 

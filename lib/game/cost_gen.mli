@@ -42,11 +42,12 @@ val agent_cost_oracle : f:Dist_cost.t -> alpha:float -> Dist_oracle.t -> int -> 
     edge flips, so checkers can price moves flip / read / unflip. *)
 
 (** The checker kernel for distance-cost function [F.f]: [agent] is
-    {!agent}, priced through {!agent_of_row}.  The prune hooks are tied
-    to the linear cost's arithmetic, so this instance answers them
-    permissively ([gain_improves] always [true], [net_edge_cap] = [size],
-    [could_join_coalition] always [true]) and lets exact pricing
-    decide. *)
+    {!agent}, priced through {!agent_of_row}.  The gain and coalition
+    hooks are tied to the linear cost's arithmetic, so this instance
+    answers them permissively ([gain_improves] and
+    [could_join_coalition] always [true]) and lets exact pricing decide.
+    [net_edge_cap] holds for every [f]: an agent with no far pair can
+    buy at most [ceil ((fdist − (n − 1)·f 1) / α)] net extra edges. *)
 module Metric (F : sig
   val f : Dist_cost.t
 end) : Metric_sig.METRIC with type agent = agent

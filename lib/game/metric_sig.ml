@@ -35,9 +35,9 @@ module type METRIC = sig
       sum by [gain] (within her component) strictly outweigh paying for
       one extra edge?  Must be monotone in [gain]. *)
 
-  val net_edge_cap : alpha:float -> size:int -> dist_sum:int -> int
-  (** Sound upper bound on the net number of extra edges an agent with
-      distance sum [dist_sum] in a connected [size]-agent graph can buy
+  val net_edge_cap : alpha:float -> size:int -> agent -> int
+  (** [net_edge_cap ~alpha ~size c]: sound upper bound on the net number
+      of extra edges an agent at cost [c] in a [size]-agent graph can buy
       in one improving move. *)
 
   val could_join_coalition : alpha:float -> size:int -> agent -> bool

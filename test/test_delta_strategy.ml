@@ -46,6 +46,27 @@ let suite =
             check_true "bound holds" (before - after <= bound)
           end
         done);
+    tc "consent bound is the gain from u linking to every stranger" (fun () ->
+        (* the BNE checker prices partners in G_all = G + {u-s : every
+           stranger s}; on a connected graph the distance gain there is
+           exactly the paper's bound, so the linear checker prunes as the
+           paper does *)
+        let r = rng 23 in
+        for i = 1 to 60 do
+          let n = 3 + Random.State.int r 10 in
+          let g = if i mod 2 = 0 then Gen.random_tree r n else Gen.random_connected r n ~p:0.3 in
+          let u = Random.State.int r n in
+          let strangers =
+            List.filter (fun s -> s <> u && not (Graph.has_edge g u s)) (List.init n Fun.id)
+          in
+          let g_all = Graph.add_edges g (List.map (fun s -> (u, s)) strangers) in
+          List.iter
+            (fun v ->
+              check_int "gain"
+                (Delta.consent_upper_bound g v)
+                ((Paths.total_dist g v).Paths.sum - (Paths.total_dist g_all v).Paths.sum))
+            strangers
+        done);
     tc "assignment construction and owner lookup" (fun () ->
         let g = Gen.path 3 in
         let a = Strategy.make g [ ((0, 1), 0); ((1, 2), 2) ] in

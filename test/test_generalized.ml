@@ -286,6 +286,58 @@ let check_pricing_law (type a) name
     agree g' (Printf.sprintf "after flipping %d-%d" u v)
   done
 
+(* The METRIC law "net_edge_cap bounds the net extra edges of any move
+   that strictly improves the agent", by brute force over every
+   neighbourhood move (drop R ⊆ N(u), add A ⊆ strangers) of every agent
+   of every connected graph n <= 6. *)
+let check_net_edge_cap (type a) name (module M : Metric_sig.METRIC with type agent = a) =
+  let subsets xs =
+    List.fold_left (fun acc x -> acc @ List.map (fun s -> x :: s) acc) [ [] ] xs
+  in
+  List.iter
+    (fun g ->
+      let n = Graph.n g in
+      List.iter
+        (fun alpha ->
+          for u = 0 to n - 1 do
+            let before = M.of_graph ~alpha g u in
+            let cap = M.net_edge_cap ~alpha ~size:n before in
+            let nbrs = Array.to_list (Graph.neighbors g u) in
+            let strangers =
+              List.filter (fun v -> v <> u && not (Graph.has_edge g u v)) (List.init n Fun.id)
+            in
+            List.iter
+              (fun drop ->
+                List.iter
+                  (fun add ->
+                    let g' =
+                      Graph.apply g
+                        ~remove:(List.map (fun v -> (u, v)) drop)
+                        ~add:(List.map (fun v -> (u, v)) add)
+                    in
+                    if M.strictly_less (M.of_graph ~alpha g' u) before then
+                      check_true
+                        (Printf.sprintf "%s %s alpha=%g agent %d: %d net edges, cap %d" name
+                           (Encode.to_graph6 g) alpha u
+                           (List.length add - List.length drop)
+                           cap)
+                        (List.length add - List.length drop <= cap))
+                  (subsets strangers))
+              (subsets nbrs)
+          done)
+        [ 0.25; 1.; 2.; 5. ])
+    (List.concat_map Enumerate.connected_graphs_orderly [ 2; 3; 4; 5; 6 ])
+
+let test_metric_net_edge_cap () =
+  check_net_edge_cap "Cost.Metric" (module Cost.Metric);
+  List.iter
+    (fun f ->
+      let module M = Cost_gen.Metric (struct
+        let f = f
+      end) in
+      check_net_edge_cap ("Cost_gen.Metric " ^ Dist_cost.name f) (module M))
+    Dist_cost.all
+
 let test_metric_pricing_law () =
   check_pricing_law "Cost.Metric" (module Cost.Metric);
   List.iter
@@ -295,6 +347,29 @@ let test_metric_pricing_law () =
       end) in
       check_pricing_law ("Cost_gen.Metric " ^ Dist_cost.name f) (module M))
     Dist_cost.all
+
+(* BNE's exponential search around a leaf of a star fits the default
+   budget only if the consent prune still empties the candidate lists
+   under a permissive metric: under cut2 no leaf gains from any added
+   edge, so the star (the tree optimum) must come back exactly Stable.
+   The centre's pure removals must stay single drops. *)
+let test_bne_star_within_budget () =
+  List.iter
+    (fun (f, n, alpha) ->
+      let c = { Generalized.f; base = Concept.BNE } in
+      Alcotest.(check string)
+        (Printf.sprintf "%s on the star n=%d alpha=%g" (Generalized.concept_name c) n alpha)
+        "stable"
+        (kind (Generalized.check ~alpha c (Gen.star n))))
+    [
+      (Dist_cost.Cutoff 2, 15, 2.);
+      (Dist_cost.Cutoff 2, 16, 1.);
+      (Dist_cost.Cutoff 2, 16, 64.);
+      (Dist_cost.Power 2, 16, 64.);
+      (* past Bitgraph.max_n the consent prune prices on a Graph.t *)
+      (Dist_cost.Cutoff 2, 70, 2.);
+      (Dist_cost.Linear, 70, 2.);
+    ]
 
 let test_rho_extremes () =
   let cut1 = { Generalized.f = Dist_cost.Cutoff 1; base = Concept.PS } in
@@ -318,4 +393,6 @@ let suite =
     tc "rho: cutoff optima (clique under cut1, star under cut2)" test_rho_extremes;
     tc "checker verdict bytes are pinned (n <= 9, 12 concepts)" test_verdict_bytes_pinned;
     tc "metric pricing: of_bits, of_oracle and of_graph agree" test_metric_pricing_law;
+    slow "metric net-edge cap bounds every improving move (n <= 6)" test_metric_net_edge_cap;
+    tc "BNE on the star n = 15, 16, 70 is exactly stable" test_bne_star_within_budget;
   ]
