@@ -1,12 +1,32 @@
 type entry = { verdict : Verdict.t; rho : float }
 
+(* Equal certificates share one value: a swept store holds hundreds of
+   thousands of entries but only a few thousand distinct ones.  ρ is
+   compared by its bits, so nan and -0.0 are kept exactly as given.
+   Each shared value carries its journal fields, rendered on first
+   record. *)
+module Entries = Hashtbl.Make (struct
+  type t = entry
+
+  let equal a b =
+    Int64.equal (Int64.bits_of_float a.rho) (Int64.bits_of_float b.rho)
+    && a.verdict = b.verdict
+
+  (* Bit-equal floats hash alike, so this agrees with [equal]. *)
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   dir : string;
   certs : (string, entry) Hashtbl.t;  (* [slot] of a content address -> certificate *)
+  entries : (entry * string Lazy.t) Entries.t;  (* distinct certificate -> shared value *)
   canon : (string, string) Hashtbl.t;  (* labelled adjacency key -> canonical g6 *)
   families : (string, string list) Hashtbl.t;  (* family key -> g6s in enum order *)
   journal_path : string;
   mutable journal : out_channel option;  (* opened lazily on first record *)
+  mutable unflushed : bool;  (* lines appended since the last flush *)
+  mutable cell_fields : ((string * string * int64 * int option) * string) option;
+      (* the last (game, concept, α bits, budget) recorded, rendered *)
 }
 
 let dir t = t.dir
@@ -40,39 +60,47 @@ let bilateral = "bilateral"
    written before games were first-class must keep hitting the cache);
    any other game prefixes its canonical name, so certificates from
    different games can never collide. *)
-let cert_key ?(game = bilateral) ~concept ~alpha ~budget ~canon_g6 () =
-  Digest.to_hex
-    (Digest.string
-       (if String.equal game bilateral then
-          Printf.sprintf "cert|%s|%s|%h|%s" canon_g6 concept alpha (budget_tag budget)
-        else
-          Printf.sprintf "cert|%s|%s|%s|%h|%s" game canon_g6 concept alpha
-            (budget_tag budget)))
+let cert_key_for ?(game = bilateral) ~concept ~alpha ~budget =
+  let prefix = if String.equal game bilateral then "cert|" else "cert|" ^ game ^ "|" in
+  let suffix = Printf.sprintf "|%s|%h|%s" concept alpha (budget_tag budget) in
+  fun canon_g6 -> Digest.to_hex (Digest.string (String.concat "" [ prefix; canon_g6; suffix ]))
+
+let cert_key ?game ~concept ~alpha ~budget ~canon_g6 () =
+  cert_key_for ?game ~concept ~alpha ~budget canon_g6
 
 (* ------------------------------------------------------------------ *)
 (* JSONL records                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* ρ is legitimately infinite for a disconnected graph; [Json.number]
-   (the string encoding "inf"/"-inf"/"nan" this store originated, now
-   hoisted into {!Json} for every producer) keeps such certificates
-   round-tripping — [Json.to_string] refuses bare non-finite floats. *)
-(* Bilateral cert lines keep the historical field set byte-for-byte;
-   other games carry an explicit ["game"] field.  The loader keys off
-   ["key"] alone, so both shapes absorb identically. *)
-let cert_line ~game ~key ~canon_g6 ~concept ~alpha ~budget e =
-  let game_field =
-    if String.equal game bilateral then [] else [ ("game", Json.String game) ]
-  in
-  Json.Obj
-    (("kind", Json.String "cert") :: ("key", Json.String key)
-    :: ("g6", Json.String canon_g6)
-    :: game_field
+(* [Json.to_string (Obj fields)] without its braces.  [Obj (a @ b)]
+   renders as [{], [a]'s fields, [,], [b]'s fields, [}], so a cert line
+   is assembled from pieces rendered once per cell and once per
+   distinct certificate, byte-identical to rendering it whole. *)
+let obj_fields fields =
+  let s = Json.to_string (Json.Obj fields) in
+  String.sub s 1 (String.length s - 2)
+
+(* A cert line's fields are [kind key g6 (game) concept alpha budget
+   verdict rho].  Bilateral cert lines keep the historical field set
+   byte-for-byte; other games carry an explicit ["game"] field.  The
+   loader keys off ["key"] alone, so both shapes absorb identically.
+   ρ is legitimately infinite for a disconnected graph; [Json.number]
+   keeps such certificates round-tripping ([Json.to_string] refuses
+   bare non-finite floats). *)
+let cert_head ~key ~canon_g6 =
+  obj_fields
+    [ ("kind", Json.String "cert"); ("key", Json.String key); ("g6", Json.String canon_g6) ]
+
+let cert_cell ~game ~concept ~alpha ~budget =
+  obj_fields
+    ((if String.equal game bilateral then [] else [ ("game", Json.String game) ])
     @ [
         ("concept", Json.String concept); ("alpha", Json.number alpha);
-        ("budget", (match budget with Some b -> Json.Int b | None -> Json.Null));
-        ("verdict", Verdict.to_json e.verdict); ("rho", Json.number e.rho);
+        ("budget", match budget with Some b -> Json.Int b | None -> Json.Null);
       ])
+
+let cert_tail e =
+  obj_fields [ ("verdict", Verdict.to_json e.verdict); ("rho", Json.number e.rho) ]
 
 let canon_line ~akey ~g6 =
   Json.Obj
@@ -84,6 +112,16 @@ let family_line ~name g6s =
       ("kind", Json.String "family"); ("name", Json.String name);
       ("graphs", Json.List (List.map (fun s -> Json.String s) g6s));
     ]
+
+let intern t e =
+  match Entries.find_opt t.entries e with
+  | Some shared -> shared
+  | None ->
+      let shared = (e, lazy (cert_tail e)) in
+      Entries.add t.entries e shared;
+      shared
+
+let add_cert t key e = Hashtbl.replace t.certs (slot key) (fst (intern t e))
 
 let load_line t line =
   match Json.of_string line with
@@ -99,7 +137,7 @@ let load_line t line =
             | None -> None
           in
           match (key, verdict, rho) with
-          | Some key, Some verdict, Some rho -> Hashtbl.replace t.certs (slot key) { verdict; rho }
+          | Some key, Some verdict, Some rho -> add_cert t key { verdict; rho }
           | _ -> ())
       | Some "canon" -> (
           let akey = Option.bind (Json.member "graph" j) Json.as_string in
@@ -154,10 +192,13 @@ let open_store dirname =
     {
       dir = dirname;
       certs = Hashtbl.create 4096;
+      entries = Entries.create 256;
       canon = Hashtbl.create 1024;
       families = Hashtbl.create 16;
       journal_path = fresh_journal_path dirname;
       journal = None;
+      unflushed = false;
+      cell_fields = None;
     }
   in
   Sys.readdir dirname
@@ -167,14 +208,7 @@ let open_store dirname =
   |> List.iter (fun f -> load_journal t (Filename.concat dirname f));
   t
 
-let close t =
-  match t.journal with
-  | None -> ()
-  | Some oc ->
-      close_out_noerr oc;
-      t.journal <- None
-
-let append t j =
+let append_line t line =
   let oc =
     match t.journal with
     | Some oc -> oc
@@ -183,10 +217,27 @@ let append t j =
         t.journal <- Some oc;
         oc
   in
-  output_string oc (Json.to_string j);
+  output_string oc line;
   output_char oc '\n';
-  flush oc;
-  Obs.incr c_flushes
+  t.unflushed <- true
+
+let append t j = append_line t (Json.to_string j)
+
+let flush t =
+  match t.journal with
+  | Some oc when t.unflushed ->
+      flush oc;
+      t.unflushed <- false;
+      Obs.incr c_flushes
+  | Some _ | None -> ()
+
+let close t =
+  match t.journal with
+  | None -> ()
+  | Some oc ->
+      flush t;
+      close_out_noerr oc;
+      t.journal <- None
 
 (* ------------------------------------------------------------------ *)
 (* Certificates                                                        *)
@@ -198,8 +249,20 @@ let find t ~key =
   e
 
 let record ?(game = bilateral) t ~key ~canon_g6 ~concept ~alpha ~budget e =
-  Hashtbl.replace t.certs (slot key) e;
-  append t (cert_line ~game ~key ~canon_g6 ~concept ~alpha ~budget e)
+  let shared, tail = intern t e in
+  Hashtbl.replace t.certs (slot key) shared;
+  let cell = (game, concept, Int64.bits_of_float alpha, budget) in
+  let cell_fields =
+    match t.cell_fields with
+    | Some (c, fields) when c = cell -> fields
+    | Some _ | None ->
+        let fields = cert_cell ~game ~concept ~alpha ~budget in
+        t.cell_fields <- Some (cell, fields);
+        fields
+  in
+  append_line t
+    (String.concat ""
+       [ "{"; cert_head ~key ~canon_g6; ","; cell_fields; ","; Lazy.force tail; "}" ])
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalisation memo                                               *)
@@ -249,17 +312,7 @@ let absorb t src =
     let before = size t in
     load_line t line;
     if size t > before then begin
-      (match t.journal with
-      | Some oc ->
-          output_string oc line;
-          output_char oc '\n'
-      | None ->
-          let oc =
-            open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 t.journal_path
-          in
-          t.journal <- Some oc;
-          output_string oc line;
-          output_char oc '\n');
+      append_line t line;
       incr absorbed
     end
   in
@@ -281,7 +334,7 @@ let absorb t src =
                          absorb_line (input_line ic)
                        done
                      with End_of_file -> ())));
-  (match t.journal with Some oc -> flush oc | None -> ());
+  flush t;
   !absorbed
 
 let canonical_g6 t g =

@@ -20,6 +20,18 @@
     are only ever appended, never rewritten, so the journals double as a
     complete audit log of what was certified when.
 
+    Appends are buffered: the record functions only write into the
+    journal's channel buffer, and the caller calls {!flush} once per
+    batch ({!Sweep} after the canonical keys of a group, after a
+    family, and after each cell's certificates; the daemon after each
+    request).  A kill therefore loses at most the unflushed tail of the
+    batch in progress, and what reached the disk is still a prefix of
+    the journal in append order.
+
+    Equal certificates (same verdict, same bits of ρ) are interned: the
+    store keeps one shared {!entry} value for each distinct one, both
+    for loaded and for recorded certificates.
+
     Writes must come from a single domain (the sweep engine's
     coordinator); lookups are reads of a private hashtable and follow
     the same rule.  The JSONL values themselves round-trip floats
@@ -38,6 +50,11 @@ val open_store : string -> t
     journal in it (skipping unparsable lines), and prepares a fresh
     append-only journal for this run.  The journal file is created
     lazily on the first {!record}, so read-only runs leave no trace. *)
+
+val flush : t -> unit
+(** Writes the journal lines appended since the last flush to disk, if
+    there are any (each such flush counts once in [cert_store.flushes]).
+    A no-op when nothing is pending. *)
 
 val close : t -> unit
 (** Flushes and closes this run's journal, if one was opened. *)
@@ -64,6 +81,13 @@ val cert_key :
     first-class still hit the cache; any other game prefixes its name,
     so certificates from different games can never collide. *)
 
+val cert_key_for :
+  ?game:string -> concept:string -> alpha:float -> budget:int option -> string -> string
+(** [cert_key_for ~concept ~alpha ~budget] is [fun canon_g6 -> cert_key
+    ~concept ~alpha ~budget ~canon_g6 ()], with the part of the key
+    string that does not depend on the graph built once: a sweep cell
+    keys every candidate under one (concept, α, budget). *)
+
 val find : t -> key:string -> entry option
 
 val record :
@@ -76,16 +100,18 @@ val record :
   budget:int option ->
   entry ->
   unit
-(** Adds the entry under [key], appends one JSONL line to this run's
-    journal, and flushes — the store is never more than one partial line
-    behind the computation, which bounds what a kill can lose. *)
+(** Adds the entry (interned) under [key] and appends one JSONL line to
+    this run's journal buffer.  The line reaches the disk at the next
+    {!flush} or {!close}, or earlier when the channel buffer fills; a
+    caller that wants a batch to survive a kill flushes after it. *)
 
 val find_canon : t -> Graph.t -> string option
 (** Memoised canonical graph6 of a labelled graph, if this store has
     seen it. *)
 
 val record_canon : t -> Graph.t -> string -> unit
-(** Journals [labelled adjacency key -> canonical graph6]. *)
+(** Journals [labelled adjacency key -> canonical graph6] (buffered, as
+    {!record}). *)
 
 val canonical_g6 : t -> Graph.t -> string
 (** {!find_canon}, computing ({!Encode.canonical_graph6}) and
@@ -100,7 +126,8 @@ val find_family : t -> string -> Graph.t list option
 
 val record_family : t -> string -> Graph.t list -> unit
 (** Journals a candidate family as one JSONL line of graph6 strings,
-    preserving enumeration order (the order the sweep fold replays). *)
+    preserving enumeration order (the order the sweep fold replays).
+    Buffered, as {!record}. *)
 
 val absorb : t -> string -> int
 (** [absorb t src] folds every journal under the store directory [src]
@@ -111,5 +138,6 @@ val absorb : t -> string -> int
     the per-shard certificate journals of a sharded sweep into the
     coordinator's store — certificates are content-addressed, so
     absorption order cannot change any later lookup.  A missing or
-    empty [src] absorbs nothing.
+    empty [src] absorbs nothing.  The absorbed lines are flushed before
+    it returns.
     @raise Invalid_argument if [src] is [t]'s own directory. *)

@@ -76,6 +76,7 @@ let canon_keys ?domains store graphs =
   let missing_graphs = List.filteri (fun i _ -> keys.(i) = None) graphs in
   let computed = Parallel.map ?domains Encode.canonical_graph6 missing_graphs in
   List.iter2 (fun g g6 -> Cert_store.record_canon store g g6) missing_graphs computed;
+  Cert_store.flush store;
   let rem = ref computed in
   let g6s =
     Array.map
@@ -141,10 +142,7 @@ let fold_cell (type s c)
       let garr = Array.of_list states in
       let cname = G.concept_name concept in
       let keys =
-        Array.map
-          (fun canon_g6 ->
-            Cert_store.cert_key ~game:G.name ~concept:cname ~alpha ~budget ~canon_g6 ())
-          g6s
+        Array.map (Cert_store.cert_key_for ~game:G.name ~concept:cname ~alpha ~budget) g6s
       in
       let found = Array.map (fun key -> Cert_store.find s ~key) keys in
       let hits = Array.fold_left (fun n e -> if e = None then n else n + 1) 0 found in
@@ -161,14 +159,16 @@ let fold_cell (type s c)
               rho = G.rho ~alpha concept x })
           miss_idx
       in
-      (* Journal fresh certificates in enumeration order: a kill at any
-         point leaves a prefix, which is a valid resume checkpoint. *)
+      (* Journal fresh certificates in enumeration order and flush once
+         per cell: a kill at any point leaves a prefix, which is a valid
+         resume checkpoint. *)
       List.iter2
         (fun i entry ->
           Cert_store.record ~game:G.name s ~key:keys.(i) ~canon_g6:g6s.(i) ~concept:cname
             ~alpha ~budget entry;
           found.(i) <- Some entry)
         miss_idx computed;
+      Cert_store.flush s;
       let acc = ref empty in
       Array.iteri (fun i entry -> acc := tally !acc garr.(i) (Option.get entry)) found;
       (!acc, hits)
@@ -298,7 +298,11 @@ let candidates ?store ?domains ?shard family n =
                 ([ ("family", Json.String name); ("n", Json.Int n) ] @ shard_args)
               (fun () -> enum n)
           in
-          Option.iter (fun s -> Cert_store.record_family s key graphs) store;
+          Option.iter
+            (fun s ->
+              Cert_store.record_family s key graphs;
+              Cert_store.flush s)
+            store;
           graphs)
 
 let groups ?store spec =

@@ -27,22 +27,31 @@ let agent_cost_oracle ~alpha o u =
   agent_cost_of_parts ~alpha ~degree:(Dist_oracle.degree o u)
     ~total:(Dist_oracle.total_dist o u)
 
+let agent_cost_of_bits ~alpha bg u =
+  agent_cost_of_parts ~alpha ~degree:(Bitgraph.degree bg u) ~total:(Bitgraph.total_dist bg u)
+
 type social = { disconnected_pairs : int; social_buy : float; social_dist : int }
 
 let social_money s = s.social_buy +. float_of_int s.social_dist
 
+(* Up to [Bitgraph.max_n] vertices the per-agent parts come from a
+   word-parallel BFS instead of [Paths] on the pointer graph.  Both give
+   the same integers, and the sums run over the vertices in the same
+   order, so the float [social_buy] is bit-identical either way. *)
 let social_cost ~alpha g =
-  let acc = ref { disconnected_pairs = 0; social_buy = 0.; social_dist = 0 } in
-  for u = 0 to Graph.n g - 1 do
-    let c = agent_cost ~alpha g u in
-    acc :=
-      {
-        disconnected_pairs = !acc.disconnected_pairs + c.unreachable;
-        social_buy = !acc.social_buy +. c.buy;
-        social_dist = !acc.social_dist + c.dist;
-      }
+  let n = Graph.n g in
+  let agent =
+    if n <= Bitgraph.max_n then agent_cost_of_bits ~alpha (Bitgraph.of_graph g)
+    else agent_cost ~alpha g
+  in
+  let pairs = ref 0 and buy = ref 0. and dist = ref 0 in
+  for u = 0 to n - 1 do
+    let c = agent u in
+    pairs := !pairs + c.unreachable;
+    buy := !buy +. c.buy;
+    dist := !dist + c.dist
   done;
-  !acc
+  { disconnected_pairs = !pairs; social_buy = !buy; social_dist = !dist }
 
 let opt_cost ~alpha n =
   if n <= 1 then 0.
@@ -68,9 +77,7 @@ let rho ~alpha g =
 module Metric = struct
   type nonrec agent = agent
 
-  let of_bits ~alpha bg u =
-    agent_cost_of_parts ~alpha ~degree:(Bitgraph.degree bg u)
-      ~total:(Bitgraph.total_dist bg u)
+  let of_bits = agent_cost_of_bits
 
   let of_oracle = agent_cost_oracle
   let of_graph = agent_cost

@@ -7,6 +7,12 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* [Printf.sprintf "%.15g"] formats through this primitive with the
+   same format string, so calling it directly prints the same bytes
+   without the format interpreter (a pin in test_json.ml holds the two
+   equal). *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Shortest decimal that parses back to the same IEEE double: the cert
    store's resume guarantee needs journaled floats to be bit-exact.
    Non-finite values must be dispatched before the repr search: the
@@ -17,13 +23,13 @@ let float_repr x =
   if Float.is_nan x then "nan"
   else if x = Float.infinity then "inf"
   else if x = Float.neg_infinity then "-inf"
-  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+  else if Float.is_integer x && Float.abs x < 1e15 then format_float "%.1f" x
   else begin
-    let s = Printf.sprintf "%.15g" x in
+    let s = format_float "%.15g" x in
     if float_of_string s = x then s
     else begin
-      let s = Printf.sprintf "%.16g" x in
-      if float_of_string s = x then s else Printf.sprintf "%.17g" x
+      let s = format_float "%.16g" x in
+      if float_of_string s = x then s else format_float "%.17g" x
     end
   end
 
@@ -40,19 +46,25 @@ let as_number = function
   | String "nan" -> Some Float.nan
   | Null | Bool _ | String _ | List _ | Obj _ -> None
 
+let needs_escape c = c < ' ' || c = '"' || c = '\\'
+
+(* Almost every string this codec writes (keys, graph6, concept names,
+   digests) needs no escape; those go out in one [add_string]. *)
 let add_escaped buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
 
 let to_string v =
   let buf = Buffer.create 256 in
@@ -115,19 +127,60 @@ let of_string s =
     else fail (Printf.sprintf "expected %C" c)
   in
   let add_utf8 buf code =
+    let cont shift = Buffer.add_char buf (Char.chr (0x80 lor ((code lsr shift) land 0x3F))) in
     if code < 0x80 then Buffer.add_char buf (Char.chr code)
     else if code < 0x800 then begin
       Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+      cont 0
+    end
+    else if code < 0x10000 then begin
+      Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+      cont 6;
+      cont 0
     end
     else begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+      Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
+      cont 12;
+      cont 6;
+      cont 0
     end
   in
-  let string_lit () =
-    let buf = Buffer.create 16 in
+  (* [!i] is on a [u]: reads exactly four hex digits ([int_of_string]
+     would also take [_]) and leaves [!i] on the last one. *)
+  let hex4 () =
+    if !i + 4 >= n then fail "truncated \\u escape";
+    let code = ref 0 in
+    for k = 1 to 4 do
+      let d =
+        match s.[!i + k] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> fail "bad \\u escape"
+      in
+      code := (!code lsl 4) lor d
+    done;
+    i := !i + 4;
+    !code
+  in
+  (* A UTF-16 surrogate pair becomes one 4-byte UTF-8 sequence; a
+     surrogate without its partner has no UTF-8 encoding at all. *)
+  let unicode_escape buf =
+    let code = hex4 () in
+    let lone () = fail (Printf.sprintf "lone surrogate \\u%04x" code) in
+    if code >= 0xDC00 && code <= 0xDFFF then lone ()
+    else if code >= 0xD800 && code <= 0xDBFF then begin
+      if !i + 2 < n && s.[!i + 1] = '\\' && s.[!i + 2] = 'u' then begin
+        i := !i + 2;
+        let low = hex4 () in
+        if low < 0xDC00 || low > 0xDFFF then lone ();
+        add_utf8 buf (0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00))
+      end
+      else lone ()
+    end
+    else add_utf8 buf code
+  in
+  let escaped_string_lit buf =
     let rec go () =
       if !i >= n then fail "unterminated string";
       match s.[!i] with
@@ -146,12 +199,7 @@ let of_string s =
           | 'r' -> Buffer.add_char buf '\r'
           | 'b' -> Buffer.add_char buf '\b'
           | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-              if !i + 4 >= n then fail "truncated \\u escape";
-              (match int_of_string_opt ("0x" ^ String.sub s (!i + 1) 4) with
-              | Some code -> add_utf8 buf code
-              | None -> fail "bad \\u escape");
-              i := !i + 4
+          | 'u' -> unicode_escape buf
           | _ -> fail "unknown escape");
           incr i;
           go ()
@@ -161,6 +209,24 @@ let of_string s =
           go ()
     in
     go ()
+  in
+  (* Most literals hold no escape: scan to the closing quote and slice.
+     Only a backslash switches to the buffered decoder. *)
+  let string_lit () =
+    let start = !i in
+    while !i < n && s.[!i] <> '"' && s.[!i] <> '\\' do
+      incr i
+    done;
+    if !i >= n then fail "unterminated string";
+    if s.[!i] = '"' then begin
+      incr i;
+      String.sub s start (!i - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create (!i - start + 16) in
+      Buffer.add_substring buf s start (!i - start);
+      escaped_string_lit buf
+    end
   in
   let number () =
     let start = !i in
@@ -178,10 +244,14 @@ let of_string s =
       incr i
     done;
     let str = String.sub s start (!i - start) in
-    match (!is_float, int_of_string_opt str, float_of_string_opt str) with
-    | false, Some v, _ -> Int v
-    | _, _, Some v -> Float v
-    | _ -> fail (Printf.sprintf "bad number %S" str)
+    let as_float () =
+      match float_of_string_opt str with
+      | Some v -> Float v
+      | None -> fail (Printf.sprintf "bad number %S" str)
+    in
+    (* An integer token too large for [int] still parses, as a float. *)
+    if !is_float then as_float ()
+    else match int_of_string_opt str with Some v -> Int v | None -> as_float ()
   in
   let literal word v =
     let len = String.length word in

@@ -28,7 +28,9 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Parses one JSON value (surrounding whitespace allowed).  Numbers
     without [.], [e] or [E] parse as {!Int} when they fit, {!Float}
-    otherwise.  [\uXXXX] escapes decode to UTF-8 bytes. *)
+    otherwise.  [\uXXXX] escapes (exactly four hex digits) decode to
+    UTF-8 bytes; a UTF-16 surrogate pair decodes to one 4-byte sequence,
+    and a lone surrogate is an error. *)
 
 val float_repr : float -> string
 (** The float rendering {!to_string} uses: the shortest of [%.15g],

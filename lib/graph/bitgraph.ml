@@ -167,11 +167,16 @@ let total_dist t src =
 
 let agent_dist_sums t = Array.init t.n (fun u -> total_dist t u)
 
+(* A [Graph.t] row is already a loop-free, symmetric neighbour list, so
+   each word is the OR of its row's bits. *)
 let of_graph g =
   let size = Graph.n g in
   check_size size "of_graph";
   let t = create size in
-  List.iter (fun (u, v) -> add_edge t u v) (Graph.edges g);
+  for u = 0 to size - 1 do
+    t.adj.(u) <- Graph.fold_neighbors (fun w v -> w lor (1 lsl v)) 0 g u
+  done;
+  t.m <- Graph.num_edges g;
   t
 
 let to_graph t =

@@ -366,6 +366,7 @@ let run_job st job =
     | exception exn ->
         (Api.Error { code = Api.Internal; message = Printexc.to_string exn }, 0)
   in
+  Option.iter Cert_store.flush st.cert_store;
   (match response with
   | Api.Error _ -> ()
   | _ -> Hashtbl.replace st.answers job.key response);

@@ -1,5 +1,33 @@
 open Helpers
 
+(* ρ as priced before [Cost.social_cost] read the Bitgraph: one
+   [Paths] BFS per agent on the pointer graph, summed in vertex order. *)
+let rho_on_graph ~alpha g =
+  let size = Graph.n g in
+  if size <= 1 then 1.
+  else begin
+    let pairs = ref 0 and buy = ref 0. and dist = ref 0 in
+    for u = 0 to size - 1 do
+      let c = Cost.agent_cost ~alpha g u in
+      pairs := !pairs + c.Cost.unreachable;
+      buy := !buy +. c.Cost.buy;
+      dist := !dist + c.Cost.dist
+    done;
+    if !pairs > 0 then infinity
+    else (!buy +. float_of_int !dist) /. Cost.opt_cost ~alpha size
+  end
+
+(* Seeded G(n,p): each pair an edge with probability [p]; sparse draws
+   are often disconnected. *)
+let gnp rng n p =
+  let es = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Splitmix.float rng < p then es := (u, v) :: !es
+    done
+  done;
+  Graph.of_edges n !es
+
 let suite =
   [
     tc "agent cost on a star" (fun () ->
@@ -54,6 +82,30 @@ let suite =
         List.iter
           (fun g -> check_true "worse" (Cost.rho ~alpha g >= 1.))
           (Enumerate.free_trees 7));
+    tc "rho on the Bitgraph keeps the Graph.t bits" (fun () ->
+        let graphs =
+          List.concat_map Enumerate.connected_graphs_iso [ 1; 2; 3; 4; 5; 6; 7 ]
+          @
+          let rng = Splitmix.create 0x0c05L in
+          List.init 200 (fun _ ->
+              let n = 1 + Splitmix.int rng 20 in
+              gnp rng n (0.05 +. (0.5 *. Splitmix.float rng)))
+          @ [ Gen.path 70 ]
+        in
+        check_true "some sampled graphs are disconnected"
+          (List.exists (fun g -> not (Paths.is_connected g)) graphs);
+        List.iter
+          (fun alpha ->
+            List.iter
+              (fun g ->
+                let bits x = Int64.bits_of_float x in
+                if bits (Cost.rho ~alpha g) <> bits (rho_on_graph ~alpha g) then
+                  Alcotest.failf "alpha %g, %s: %h vs %h" alpha (Encode.to_graph6 g)
+                    (Cost.rho ~alpha g) (rho_on_graph ~alpha g))
+              graphs)
+          (* 1/3 and 0.1 make the float sum of the buy parts depend on
+             its order; the other α keep it exact. *)
+          [ 0.5; 1.; 2.; 8.; 1. /. 3.; 0.1 ]);
     tc "social cost equals sum of agent costs" (fun () ->
         let g = Gen.random_connected (rng 3) 9 ~p:0.3 and alpha = 1.5 in
         let s = Cost.social_cost ~alpha g in

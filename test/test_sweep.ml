@@ -160,6 +160,86 @@ let suite =
         check_int "again all hits" again.Sweep.totals.total_checked
           again.Sweep.totals.total_cache_hits)
     ;
+    tc "batched journal resumes from any cut or duplicated line" (fun () ->
+        (* The store flushes once per batch, so a kill can stop the
+           journal at any byte of the batch in flight.  Cutting a cold
+           journal by hand reproduces each such stop without timing: at
+           every line boundary of one cell, at mid-line offsets (4096
+           and 65536 among them), and with a line written twice. *)
+        let spec = { spec with Sweep.sizes = [ 6 ]; alphas = [ 1.; 4. ] } in
+        let plain = Sweep.run spec in
+        let cold_dir = fresh_dir "batched-cold" in
+        let read_journal () =
+          match journal_files cold_dir with
+          | [ j ] -> In_channel.with_open_bin j In_channel.input_all
+          | _ -> Alcotest.fail "expected one journal"
+        in
+        let flushed =
+          with_store cold_dir (fun s ->
+              ignore (Sweep.run ~store:s spec);
+              read_journal ())
+        in
+        let bytes = read_journal () in
+        check_true "the sweep flushed its last batch" (String.equal flushed bytes);
+        let size = String.length bytes in
+        check_true "journal spans 64 KiB" (size > 65536);
+        (* (start, end) of every line, [end] at its newline. *)
+        let lines =
+          let rec go acc start =
+            match String.index_from_opt bytes start '\n' with
+            | None -> List.rev acc
+            | Some stop -> go ((start, stop) :: acc) (stop + 1)
+          in
+          go [] 0
+        in
+        let field name line =
+          match Json.of_string line with
+          | Ok j -> Option.map Json.to_string (Json.member name j)
+          | Error _ -> None
+        in
+        let text (start, stop) = String.sub bytes start (stop - start) in
+        let is_cert l = field "kind" (text l) = Some {|"cert"|} in
+        let cell =
+          List.filter
+            (fun l ->
+              is_cert l
+              && field "concept" (text l) = Some {|"PS"|}
+              && field "alpha" (text l) = Some "4.0")
+            lines
+        in
+        check_int "one line per candidate" 112 (List.length cell);
+        let boundaries = fst (List.hd cell) :: List.map (fun (_, stop) -> stop + 1) cell in
+        let mid (start, stop) = start + ((stop - start) / 2) in
+        let cuts =
+          boundaries
+          @ [ 4096; 65536; fst (List.hd cell) + 1; mid (List.nth cell 50); size - 1 ]
+        in
+        let resume label journal ~hits =
+          let dir = fresh_dir "batched-resume" in
+          Unix.mkdir dir 0o755;
+          Out_channel.with_open_bin (Filename.concat dir "journal-0000.jsonl") (fun oc ->
+              output_string oc journal);
+          let o = with_store dir (fun s -> Sweep.run ~store:s spec) in
+          rm_rf dir;
+          check_true (label ^ ": resumed == plain") (outcome_sig o = outcome_sig plain);
+          check_int (label ^ ": every surviving certificate hit") hits
+            o.Sweep.totals.total_cache_hits
+        in
+        (* A line cut before its newline still parses when it is
+           whole, so it counts as surviving. *)
+        let surviving cut = List.length (List.filter (fun l -> is_cert l && snd l <= cut) lines) in
+        List.iter
+          (fun cut ->
+            resume (Printf.sprintf "cut at %d" cut) (String.sub bytes 0 cut) ~hits:(surviving cut))
+          cuts;
+        let all = List.length (List.filter is_cert lines) in
+        let dup = List.nth cell 7 in
+        resume "duplicated line" (bytes ^ text dup ^ "\n") ~hits:all;
+        let cut = List.nth boundaries 20 in
+        resume "duplicated line after a cut"
+          (String.sub bytes 0 cut ^ text dup ^ "\n")
+          ~hits:(surviving cut))
+    ;
     tc "Poa.run with a store equals without" (fun () ->
         let dir = fresh_dir "poa" in
         let bare = Poa.run ~concept:Concept.PS ~alpha:2.0 (Poa.Trees 7) in
